@@ -95,7 +95,6 @@ UntrustedHmd::UntrustedHmd(HmdConfig config,
   HMD_REQUIRE(engine_->n_members() ==
                   static_cast<std::size_t>(config_.n_members),
               "UntrustedHmd: engine/config member count mismatch");
-  scale_inputs_ = config_.model != ModelKind::kRandomForest;
 }
 
 ml::ClassifierFactory UntrustedHmd::member_factory() const {
@@ -142,10 +141,9 @@ void UntrustedHmd::fit(const ml::Dataset& train) {
   // the flat engine can traverse dataset rows in place. (The compiled
   // linear engine owns a copy of these moments and standardises
   // internally — every engine consumes raw rows.)
-  scale_inputs_ = config_.model != ModelKind::kRandomForest;
   const Matrix* fit_x = &train.X;
   Matrix scaled;
-  if (scale_inputs_) {
+  if (config_.model != ModelKind::kRandomForest) {
     scaled = scaler_.fit_transform(train.X);
     fit_x = &scaled;
   }
@@ -193,42 +191,14 @@ double UntrustedHmd::converged_fraction() const {
 
 EnsembleStats UntrustedHmd::stats_one(RowView x) const {
   HMD_REQUIRE(ready(), "UntrustedHmd: detect before fit");
-  if (engine_ != nullptr) return engine_->stats_one(x);
-  std::vector<double> scaled;
-  if (scale_inputs_) {
-    scaler_.transform_row(x, scaled);
-    x = RowView(scaled.data(), scaled.size());
-  }
-  std::vector<double> probabilities;
-  ensemble_->member_probabilities(x, probabilities);
-  return accumulate_stats(probabilities);
+  return engine_->stats_one(x);
 }
 
 void UntrustedHmd::stats_batch(const Matrix& x,
                                std::vector<EnsembleStats>& out,
                                StatsMask mask) const {
   HMD_REQUIRE(ready(), "UntrustedHmd: detect before fit");
-  if (engine_ != nullptr) {
-    engine_->stats_batch(x, pool_.get(), out, mask);
-    return;
-  }
-  // The reference fallback always fills every field: it is the parity
-  // baseline, and member_probabilities dominates anyway.
-  const Matrix scaled = scale_inputs_ ? scaler_.transform(x) : Matrix();
-  const Matrix& input = scale_inputs_ ? scaled : x;
-  out.assign(input.rows(), EnsembleStats{});
-  auto body = [&](std::size_t begin, std::size_t end) {
-    std::vector<double> probabilities;
-    for (std::size_t r = begin; r < end; ++r) {
-      ensemble_->member_probabilities(input.row(r), probabilities);
-      out[r] = accumulate_stats(probabilities);
-    }
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(input.rows(), body);
-  } else {
-    body(0, input.rows());
-  }
+  engine_->stats_batch(x, pool_.get(), out, mask);
 }
 
 Detection UntrustedHmd::detection_from_stats(

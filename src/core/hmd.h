@@ -20,8 +20,11 @@
 // detect_batch(), estimate(), estimate_batch() and scores() are thin
 // compatibility wrappers over that spine with preset masks. Batch entry
 // points are parallelised by a reusable thread pool sized by
-// HmdConfig::n_threads. The reference ml::Bagging member path is retained
-// for parity testing and as a fallback for exotic ensembles.
+// HmdConfig::n_threads. Every detector that can score has an engine:
+// fit() compiles one for each ModelKind and the serving constructor
+// requires one. The trained ml::Bagging is kept only as the reference the
+// parity suites compare the engines against (through EnsembleView /
+// UncertaintyEstimator, core/uncertainty.h); inference never runs on it.
 //
 // Train-once / serve-many: save_model()/load_model()
 // (core/model_artifact.h) persist config + scaler + engine as a `.hmdf`
@@ -144,7 +147,7 @@ class UntrustedHmd {
   bool has_ensemble() const { return ensemble_ != nullptr; }
   /// Is inference routed through a compiled flat engine?
   bool uses_flat_engine() const { return engine_ != nullptr; }
-  /// The compiled engine; throws when inference is on the reference path.
+  /// The compiled engine; throws before fit().
   const InferenceEngine& engine() const;
   /// The compiled engine as a FlatForestEngine (tree models only; the
   /// parity suite inspects arena geometry through this).
@@ -159,8 +162,8 @@ class UntrustedHmd {
   void stats_batch(const Matrix& x, std::vector<EnsembleStats>& out,
                    StatsMask mask) const;
   Detection detection_from_stats(const EnsembleStats& stats) const;
-  /// Has a usable inference path (engine or reference ensemble)?
-  bool ready() const { return engine_ != nullptr || fitted(); }
+  /// Has a compiled engine to score with (fitted or served)?
+  bool ready() const { return engine_ != nullptr; }
   bool fitted() const { return ensemble_ != nullptr && ensemble_->fitted(); }
   int n_members() const { return config_.n_members; }
   const VoteEntropyTable* vote_lut() const { return &vote_lut_; }
@@ -177,7 +180,6 @@ class UntrustedHmd {
   std::unique_ptr<InferenceEngine> engine_;
   VoteEntropyTable vote_lut_;
   ml::StandardScaler scaler_;
-  bool scale_inputs_ = false;
   /// Training-time convergence, carried by serving-only detectors.
   double serving_converged_fraction_ = 1.0;
 };

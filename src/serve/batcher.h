@@ -4,9 +4,9 @@
 // 256-row tiles but a socket client sends a handful of rows per frame —
 // scoring those one frame at a time pays the full score() dispatch,
 // result shaping, and per-batch engine setup per handful. The batcher
-// gathers rows from many connections into one Matrix per (model, mode)
-// queue, runs one score(), and scatters each client's rows back out of
-// the coalesced SoA ScoreResult.
+// gathers rows from many connections into one Matrix per (model, mode,
+// accuracy) queue, runs one score(), and scatters each client's rows back
+// out of the coalesced SoA ScoreResult.
 //
 // Flush triggers (any of):
 //   - rows: a queue reaching max_batch_rows flushes inside enqueue();

@@ -99,9 +99,16 @@
 // response is bit-identical to a direct score() on the request's rows no
 // matter how it was batched. Requests for the same model but different
 // uncertainty *modes* are never merged (kOutScore / kOutTrusted depend
-// on the mode); masks within a queue are merged by union. Responses to
-// one connection always come back in request order; ordering across
-// connections is unspecified.
+// on the mode); masks within a queue are merged by union.
+//
+// Every answer (result or error frame) carries the request id of the
+// frame it answers, and that id is the only reliable way to match them.
+// Order is kept only among one connection's requests that share a
+// (model, mode, accuracy) batcher queue. Requests for different queues —
+// different keys on one pipelined connection, say — come back in flush
+// order, and a request rejected before queueing (unknown key, bad shape)
+// is answered at once, ahead of queued work. Ordering across connections
+// is unspecified. serve/loadgen.cpp matches answers by id.
 
 #include <cstdint>
 #include <optional>

@@ -30,13 +30,10 @@ train_bin=$1
 serve_bin=$2
 client_bin=$3
 
+source "$(dirname "${BASH_SOURCE[0]}")/serve_lib.sh"
+
 workdir=$(mktemp -d serve_socket_smoke.XXXXXX)
-server_pid=""
-cleanup() {
-  [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
+trap 'kill_server; rm -rf "$workdir"' EXIT
 
 models="$workdir/models"
 mkdir -p "$models"
@@ -55,22 +52,8 @@ common=(--dataset=dvfs --scale=0.1 --threads=1)
 "$train_bin" "${common[@]}" --model=svm --members=9 \
     --out="$workdir/replacement.artifact"
 
-"$serve_bin" --models="$models" --threads=1 --listen=127.0.0.1:0 \
-    --refresh-ms=200 >"$workdir/server.log" 2>&1 &
-server_pid=$!
-
-port=""
-for _ in $(seq 1 100); do
-  port=$(grep -oP 'listening on 127\.0\.0\.1:\K[0-9]+' "$workdir/server.log" \
-      || true)
-  [ -n "$port" ] && break
-  kill -0 "$server_pid" 2>/dev/null || break
-  sleep 0.1
-done
-[ -n "$port" ] || {
-  echo "FAIL: server never reported its port" >&2
-  cat "$workdir/server.log" >&2
-  exit 1; }
+start_server "$workdir/server.log" --models="$models" --threads=1 \
+    --refresh-ms=200
 
 grep -q "serving  2 model(s)" "$workdir/server.log" || {
   echo "FAIL: expected 2 models from the registry" >&2; exit 1; }
@@ -189,13 +172,10 @@ done
   exit 1; }
 
 # Leg 6: SIGTERM -> drain, summaries, exit 0.
-kill -TERM "$server_pid"
-rc=0
-wait "$server_pid" || rc=$?
-server_pid=""
+stop_server
 cat "$workdir/server.log"
-[ "$rc" -eq 0 ] || {
-  echo "FAIL: SIGTERM shutdown must exit 0, got $rc" >&2; exit 1; }
+[ "$server_rc" -eq 0 ] || {
+  echo "FAIL: SIGTERM shutdown must exit 0, got $server_rc" >&2; exit 1; }
 grep -q "^traffic  " "$workdir/server.log" || {
   echo "FAIL: missing traffic summary" >&2; exit 1; }
 grep -q "^batcher  " "$workdir/server.log" || {

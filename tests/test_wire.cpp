@@ -1,7 +1,8 @@
 // The HMDW wire protocol (serve/wire.h): encode/parse round-trips for
 // every OutputMask combination, the malformed-frame rejection sweep with
-// its fatal/survivable split, and an over-the-socket check that a
-// survivable error frame leaves the connection serving.
+// its fatal/survivable split, and over-the-socket checks that a
+// survivable error frame leaves the connection serving and that answers
+// to two keys pipelined on one connection match their requests by id.
 
 #include <gtest/gtest.h>
 
@@ -343,7 +344,12 @@ TEST(WireTest, LoadErrorTaxonomyMapsIntoWireCodes) {
 class WireSocketTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::path("wire_tmp");
+    // Unique per test: ctest -j runs sibling cases in other processes of
+    // the same binary, and a shared directory would be removed under them.
+    dir_ = std::filesystem::path(
+        "wire_tmp_" +
+        std::string(
+            ::testing::UnitTest::GetInstance()->current_test_info()->name()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     core::HmdConfig config;
@@ -566,6 +572,86 @@ TEST_F(WireSocketTest, FastTierEchoedAndWithinUlpOfExact) {
     EXPECT_TRUE(close_enough(got.mutual_information[r],
                              want.mutual_information[r]))
         << r;
+  }
+  ::close(fd);
+}
+
+// Two keys pipelined on one connection land in different batcher queues,
+// so their answers come back in flush order, not request order (the
+// ordering contract in serve/wire.h). Matched by request id, every answer
+// must be bit-identical to a direct score() of its own model on its own
+// rows.
+TEST_F(WireSocketTest, TwoKeysPipelinedAnswersMatchByRequestId) {
+  core::HmdConfig config;
+  config.model = core::ModelKind::kBaggedLogistic;
+  config.n_members = 5;
+  config.n_threads = 1;
+  config.seed = 12;
+  core::TrustedHmd lr(config);
+  lr.fit(test::small_dvfs().train);
+  const std::string lr_path = (dir_ / "lr.hmdf").string();
+  core::save_model(lr, lr_path);
+  registry_->add("lr", lr_path);
+
+  const Matrix& x = test::small_dvfs().test.X;
+  constexpr std::uint32_t kRequests = 16;
+  constexpr std::size_t kRows = 3;
+  ASSERT_GE(x.rows(), kRequests * kRows);
+  const auto model_of = [&](std::uint32_t i) -> const core::TrustedHmd& {
+    return i % 2 == 0 ? *hmd_ : lr;
+  };
+
+  const int fd = connect_client();
+  std::vector<unsigned char> bytes;
+  for (std::uint32_t i = 0; i < kRequests; ++i) {
+    serve::wire::append_request(bytes, 100 + i, i % 2 == 0 ? "m" : "lr",
+                                api::kEstimateOutputs, std::nullopt,
+                                x.row_ptr(i * kRows), kRows, x.cols());
+  }
+  send_all(fd, bytes);  // one write: the whole pipeline is in flight
+
+  std::vector<unsigned char> storage;
+  std::vector<bool> answered(kRequests, false);
+  for (std::uint32_t n = 0; n < kRequests; ++n) {
+    const Frame frame = read_frame(fd, storage);
+    ASSERT_EQ(frame.type, FrameType::kScoreResult);
+    const std::uint32_t i = frame.result.request_id - 100;
+    ASSERT_LT(i, kRequests);
+    ASSERT_FALSE(answered[i]) << "request " << i << " answered twice";
+    answered[i] = true;
+    api::ScoreResult got;
+    serve::wire::unpack_result(frame.result, got);
+
+    Matrix slice(kRows, x.cols());
+    for (std::size_t r = 0; r < kRows; ++r) {
+      std::memcpy(slice.row_ptr(r), x.row_ptr(i * kRows + r),
+                  x.cols() * sizeof(double));
+    }
+    api::ScoreRequest direct;
+    direct.x = &slice;
+    direct.outputs = api::kEstimateOutputs;
+    api::ScoreResult want;
+    model_of(i).score(direct, want);
+
+    ASSERT_EQ(got.rows, kRows) << "request " << i;
+    const auto same = [&](const auto& a, const auto& b, const char* name) {
+      ASSERT_EQ(a.size(), b.size()) << name;
+      if (a.empty()) return;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])), 0)
+          << "request " << i << " column " << name;
+    };
+    same(got.prediction, want.prediction, "prediction");
+    same(got.confidence, want.confidence, "confidence");
+    same(got.votes, want.votes, "votes");
+    same(got.vote_entropy, want.vote_entropy, "vote_entropy");
+    same(got.soft_entropy, want.soft_entropy, "soft_entropy");
+    same(got.expected_entropy, want.expected_entropy, "expected_entropy");
+    same(got.mutual_information, want.mutual_information,
+         "mutual_information");
+    same(got.variation_ratio, want.variation_ratio, "variation_ratio");
+    same(got.max_probability, want.max_probability, "max_probability");
+    same(got.score, want.score, "score");
+    same(got.trusted, want.trusted, "trusted");
   }
   ::close(fd);
 }
