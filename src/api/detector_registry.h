@@ -71,6 +71,13 @@
 //   - `load_mutex` serialises loads *of that entry alone* and is held
 //     across the artifact read.
 //
+// A load never includes a JIT compile: a forest the JIT policy accepts
+// is published serving its interpreted arena kernels and compiles on
+// the background JIT worker (jit/jit.h), so a hot-swap or a reload after
+// eviction is back in service after map + verify + parse. Dropping a
+// snapshot whose compile is still pending (swap, eviction, remove())
+// cancels it; the drop waits at most for the one tree being emitted.
+//
 // get() is double-checked: a snapshot read under state_mutex first
 // (loaded entries never touch load_mutex), then load_mutex + re-check,
 // so a load happens at most once per concurrent wave of callers — and a
@@ -199,7 +206,9 @@ struct ModelHealth {
   std::string last_error;
   /// The served snapshot's batch-kernel backend ("jit" / "arena" /
   /// "stream-fallback"; see InferenceEngine::kernel_backend). Empty when
-  /// nothing is loaded.
+  /// nothing is loaded. A fresh load — first get(), hot-swap or reload
+  /// after eviction — reports the interpreter until its background JIT
+  /// compile installs native kernels (jit/jit.h), then "jit".
   std::string kernel_backend;
 };
 

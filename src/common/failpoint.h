@@ -8,7 +8,8 @@
 // Cost discipline: every instrumented site is the HMD_FAILPOINT macro,
 // whose disarmed fast path is a single relaxed atomic load of a global
 // counter (no lock, no map lookup, no string work). Sites live only on
-// cold paths (artifact open, mmap, registry load) — never per-sample.
+// cold paths (artifact open, mmap, registry load, JIT compile) — never
+// per-sample.
 // Building with -DHMD_NO_FAILPOINTS compiles every site out entirely for
 // deployments that want literal zero cost.
 //
@@ -27,7 +28,9 @@
 //
 // Instrumented sites: artifact.load (core::load_model entry),
 // mmap.map (MappedFile::map), registry.load (DetectorRegistry's per-entry
-// load attempt, before the loader runs).
+// load attempt, before the loader runs), jit.tree (each tree boundary of
+// a JIT compile; an error there declines the compile, a delay stretches
+// it).
 
 #include <atomic>
 #include <cstddef>

@@ -13,7 +13,9 @@
 
 namespace hmd::core {
 
-FlatForestEngine::~FlatForestEngine() = default;
+FlatForestEngine::~FlatForestEngine() {
+  if (jit_job_ != nullptr) jit_job_->cancel();
+}
 
 std::unique_ptr<FlatForestEngine> FlatForestEngine::compile(
     const ml::Bagging& ensemble) {
@@ -79,7 +81,7 @@ std::unique_ptr<FlatForestEngine> FlatForestEngine::compile(
 
   flat->adopt_storage();
   flat->derive_stumps();
-  flat->select_kernels();
+  flat->queue_jit_compile();
   return flat;
 }
 
@@ -218,7 +220,7 @@ std::unique_ptr<FlatForestEngine> FlatForestEngine::load_blob(
   flat->adopt_storage();
   flat->validate_geometry(context, /*deep=*/true);
   flat->derive_stumps();
-  flat->select_kernels();
+  flat->queue_jit_compile();
   return flat;
 }
 
@@ -251,7 +253,7 @@ std::unique_ptr<FlatForestEngine> FlatForestEngine::from_buffer(
   flat->buffer_ = std::move(keepalive);
   flat->validate_geometry(in.context(), deep_validate);
   flat->derive_stumps();
-  flat->select_kernels();
+  flat->queue_jit_compile();
   return flat;
 }
 
@@ -324,40 +326,31 @@ void FlatForestEngine::arena_kernel(const FlatForestEngine& self,
   }
 }
 
-template <int kShape>
-void FlatForestEngine::jit_kernel(const FlatForestEngine& self,
-                                  const double* xt, std::size_t tile,
-                                  double* votes, double* sum_p1,
-                                  double* sum_entropy) {
-  self.jit_->kernel(kShape)(xt, tile, votes, sum_p1, sum_entropy);
+void FlatForestEngine::queue_jit_compile() {
+  if (jit::should_compile(*this)) jit_job_ = jit::compile_in_background(*this);
 }
 
-void FlatForestEngine::select_kernels() {
-  kernels_[0] = &arena_kernel<false, false>;
-  kernels_[1] = &arena_kernel<true, false>;
-  kernels_[2] = &arena_kernel<false, true>;
-  kernels_[3] = &arena_kernel<true, true>;
-  jit_.reset();
-  if (!jit::should_compile(*this)) return;
-  jit_ = jit::compile_forest(*this);
-  if (jit_ == nullptr) return;  // fallback: interpreted rows stay
-  kernels_[0] = &jit_kernel<0>;
-  kernels_[1] = &jit_kernel<1>;
-  kernels_[2] = &jit_kernel<2>;
-  kernels_[3] = &jit_kernel<3>;
+const jit::ForestProgram* FlatForestEngine::native_program() const {
+  return jit_job_ != nullptr ? jit_job_->program() : nullptr;
+}
+
+void FlatForestEngine::wait_for_jit() const {
+  if (jit_job_ != nullptr) jit_job_->wait();
 }
 
 std::string FlatForestEngine::kernel_backend() const {
-  if (jit_ != nullptr) return "jit";
+  if (native_program() != nullptr) return "jit";
   return zero_copy() ? "arena" : "stream-fallback";
 }
 
 double FlatForestEngine::jit_compile_ms() const {
-  return jit_ != nullptr ? jit_->compile_ms() : 0.0;
+  const jit::ForestProgram* program = native_program();
+  return program != nullptr ? program->compile_ms() : 0.0;
 }
 
 std::size_t FlatForestEngine::jit_code_bytes() const {
-  return jit_ != nullptr ? jit_->code_bytes() : 0;
+  const jit::ForestProgram* program = native_program();
+  return program != nullptr ? program->code_bytes() : 0;
 }
 
 void FlatForestEngine::stats_batch(const Matrix& x, ThreadPool* pool,
@@ -372,8 +365,16 @@ void FlatForestEngine::stats_batch(const Matrix& x, ThreadPool* pool,
   // of the per-row work, so the prediction-only specialisation is real.
   const bool posterior = (mask & kStatsPosterior) != 0;
   const bool entropy = (mask & kStatsEntropy) != 0;
-  const BatchKernelFn kernel =
-      kernels_[(posterior ? 1 : 0) | (entropy ? 2 : 0)];
+  const unsigned shape = (posterior ? 1u : 0u) | (entropy ? 2u : 0u);
+  static constexpr BatchKernelFn kArenaRows[4] = {
+      &arena_kernel<false, false>, &arena_kernel<true, false>,
+      &arena_kernel<false, true>, &arena_kernel<true, true>};
+  const BatchKernelFn arena = kArenaRows[shape];
+  // One acquire load per call: the whole batch runs on the arena or on
+  // native code, even when the background compile installs mid-call.
+  const jit::ForestProgram* program = native_program();
+  const jit::ForestProgram::KernelFn native =
+      program != nullptr ? program->kernel(shape) : nullptr;
   const std::size_t cols = x.cols();
   auto run_tiles = [&](std::size_t tile_begin, std::size_t tile_end) {
     // Per-worker scratch, reused across this worker's tiles: the
@@ -397,9 +398,13 @@ void FlatForestEngine::stats_batch(const Matrix& x, ThreadPool* pool,
       std::fill_n(votes.begin(), tile, 0.0);
       if (posterior) std::fill_n(sum_p1.begin(), tile, 0.0);
       if (entropy) std::fill_n(sum_entropy.begin(), tile, 0.0);
-      kernel(*this, xt.data(), tile, votes.data(),
-             posterior ? sum_p1.data() : nullptr,
-             entropy ? sum_entropy.data() : nullptr);
+      double* p1 = posterior ? sum_p1.data() : nullptr;
+      double* ent = entropy ? sum_entropy.data() : nullptr;
+      if (native != nullptr) {
+        native(xt.data(), tile, votes.data(), p1, ent);
+      } else {
+        arena(*this, xt.data(), tile, votes.data(), p1, ent);
+      }
       EnsembleStats* dst = out.data() + row_begin;
       for (std::size_t r = 0; r < tile; ++r) {
         dst[r].votes1 = static_cast<std::int32_t>(votes[r]);

@@ -48,16 +48,19 @@
 // stump table is always re-derived at load; it is never serialised.
 //
 // Kernel dispatch: stats_batch lowers its StatsMask to one of four tile
-// kernels through a per-engine dispatch table selected once at load time
-// (select_kernels). The table rows share one uniform signature — a tile
-// transposed at the fixed kTileRows stride, the live row count, and
+// kernels, indexed by shape. The rows share one uniform signature — a
+// tile transposed at the fixed kTileRows stride, the live row count, and
 // dense vote/posterior/entropy accumulators — so a backend is just a set
-// of four rows: the interpreted arena kernels always exist, and when the
-// tree JIT is available and enabled (src/jit/jit.h) the table instead
-// points at natively compiled kernels that are bit-identical to the
-// interpreter (asserted by the JitParity suite). kernel_backend()
-// reports which rows are installed; everything above stats_batch
-// (score() lowering, the StatsMask contract) is backend-blind.
+// of four rows. The interpreted arena rows serve from the moment an
+// engine is constructed. When the tree JIT is available and the policy
+// accepts the forest (src/jit/jit.h), construction also queues a
+// background compile; once it seals, the native rows are installed with
+// one atomic store, and every later stats_batch call runs them. Each
+// call reads the installed program once, so a batch never mixes
+// backends, and the two are bit-identical (asserted by the JitParity and
+// JitConcurrency suites). kernel_backend() reports which rows are
+// installed; everything above stats_batch (score() lowering, the
+// StatsMask contract) is backend-blind.
 
 #include <cstdint>
 #include <iosfwd>
@@ -75,6 +78,7 @@ class ByteReader;
 }  // namespace hmd::io
 
 namespace hmd::jit {
+class CompileJob;
 class ForestProgram;
 }  // namespace hmd::jit
 
@@ -106,7 +110,13 @@ class FlatForestEngine final : public InferenceEngine {
       std::shared_ptr<const io::ArtifactBuffer> keepalive,
       bool deep_validate = true);
 
+  FlatForestEngine() = default;
+  /// Cancels a queued or in-flight background compile first: waits at
+  /// most for the one tree being emitted, and the compile never reads the
+  /// arena after this returns.
   ~FlatForestEngine() override;
+  FlatForestEngine(const FlatForestEngine&) = delete;
+  FlatForestEngine& operator=(const FlatForestEngine&) = delete;
 
   std::string name() const override { return "flat_forest"; }
   EngineId engine_id() const override { return EngineId::kFlatForest; }
@@ -125,17 +135,24 @@ class FlatForestEngine final : public InferenceEngine {
            stumps_.size() * sizeof(Stump);
   }
 
-  /// Which batch-kernel rows the dispatch table holds: "jit" when the
-  /// tree JIT compiled this forest, else "arena" (the interpreter).
+  /// Which batch-kernel rows serve the next batch: "jit" once the
+  /// background compile installed native code, else the interpreter
+  /// ("arena" over a mapping, "stream-fallback" over owned bytes).
   std::string kernel_backend() const override;
+
+  /// Block until this engine's background compile has installed, been
+  /// declined or been cancelled; returns at once when none was queued.
+  /// For tests and benches that must measure native kernels.
+  void wait_for_jit() const;
 
   std::size_t n_trees() const { return roots_.size(); }
   std::size_t n_nodes() const { return nodes_.size(); }
   std::size_t n_stumps() const { return n_stumps_; }
   std::size_t n_features() const override { return n_features_; }
 
-  /// Wall-clock cost of the JIT compile at load (0 when interpreted) and
-  /// the sealed code size — bench_latency's jit series reports both.
+  /// Wall-clock cost of the background JIT compile and the sealed code
+  /// size; both read 0 until the native program is installed.
+  /// bench_latency's jit series reports both.
   double jit_compile_ms() const;
   std::size_t jit_code_bytes() const;
 
@@ -208,18 +225,14 @@ class FlatForestEngine final : public InferenceEngine {
                            std::size_t tile, double* votes, double* sum_p1,
                            double* sum_entropy);
 
-  /// JIT rows: trampolines into the ForestProgram's native entry points.
-  template <int kShape>
-  static void jit_kernel(const FlatForestEngine& self, const double* xt,
-                         std::size_t tile, double* votes, double* sum_p1,
-                         double* sum_entropy);
+  /// Queue the background compile when the JIT policy accepts this
+  /// forest. Called last by every construction path (compile /
+  /// load_blob / from_buffer), once the arena is complete; the policy is
+  /// read here, at queue time.
+  void queue_jit_compile();
 
-  /// Fill the dispatch table — interpreted rows, then, when the JIT is
-  /// enabled and compilation succeeds, the native rows. Called once by
-  /// every construction path (compile / load_blob / from_buffer), which
-  /// on the registry path runs under the per-entry load mutex: at most
-  /// one compile per load, off the registry-wide lock.
-  void select_kernels();
+  /// The installed native program, or null while the arena rows serve.
+  const jit::ForestProgram* native_program() const;
 
   // Hot-path views. Either into the storage vectors below (training /
   // v1 stream load) or straight into buffer_'s mapped bytes (v2 load).
@@ -243,13 +256,10 @@ class FlatForestEngine final : public InferenceEngine {
   std::vector<std::uint8_t> is_stump_;
   std::size_t n_stumps_ = 0;
 
-  /// The per-engine kernel dispatch table, indexed by StatsMask shape
-  /// (posterior ? 1 : 0) | (entropy ? 2 : 0). Filled by select_kernels().
-  BatchKernelFn kernels_[4] = {nullptr, nullptr, nullptr, nullptr};
-  /// Owns the native code when the JIT rows are installed; null keeps
-  /// the interpreted rows (and is the automatic fallback everywhere the
-  /// JIT is unavailable, disabled, or declined the forest).
-  std::unique_ptr<jit::ForestProgram> jit_;
+  /// This engine's background compile; null when none was queued (JIT
+  /// unavailable, policy off, or declined by the kAuto heuristic). Owns
+  /// the native program once installed.
+  std::shared_ptr<jit::CompileJob> jit_job_;
   /// Expected input width; every node's feature index is < this (checked
   /// at load, so a corrupt artifact can never drive out-of-bounds reads).
   std::size_t n_features_ = 0;

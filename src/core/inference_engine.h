@@ -139,8 +139,8 @@ class InferenceEngine {
   virtual bool zero_copy() const { return false; }
 
   /// Which batch-kernel implementation this engine dispatches to: "jit"
-  /// when a backend compiled the model to native code at load (see
-  /// FlatForestEngine's kernel dispatch table), "arena" for the
+  /// once a backend's background compile installed native code (see
+  /// FlatForestEngine's kernel dispatch), "arena" for the
   /// interpreted default over a zero-copy mapping, "stream-fallback" for
   /// the interpreted default over fully-copied bytes (the mmap-failed /
   /// --mmap=off load path). Observability only — outputs are

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/flat_forest.h"
 #include "jit/x64_emitter.h"
 
@@ -276,7 +277,11 @@ struct TreeCompiler {
 
 }  // namespace
 
-std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
+std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest,
+                                              const std::atomic<bool>* cancel) {
+  const auto cancelled = [cancel] {
+    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+  };
   const auto nodes = forest.nodes_view();
   const auto roots = forest.roots_view();
   if (nodes.empty() || roots.empty() || nodes.size() > kMaxJitNodes)
@@ -298,6 +303,8 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
   std::vector<std::size_t> node_slot(nodes.size());
   std::vector<std::size_t> ent_slot(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
+    // Poll every 4096 nodes: about a tree's worth of interning.
+    if (i % 4096 == 0 && cancelled()) return nullptr;
     node_slot[i] = emitter.pool_const(nodes[i].threshold);
     ent_slot[i] = emitter.pool_const(leaf_entropy[i]);
   }
@@ -315,6 +322,10 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
                           /*entropy=*/(shape & 2) != 0,
                           /*budget=*/nodes.size() + 1};
     for (const std::int32_t root : roots) {
+      // The tree boundary: the jit.tree failpoint (fault drills stretch a
+      // compile with it) fires, then a cancelled compile stops here.
+      HMD_FAILPOINT("jit.tree", "background jit compile");
+      if (cancelled()) return nullptr;
       compiler.emit_tree(root);
       if (!compiler.ok) return nullptr;
     }
@@ -335,7 +346,8 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest) {
 
 #else  // !HMD_JIT_SUPPORTED
 
-std::unique_ptr<ForestProgram> compile_forest(const core::FlatForestEngine&) {
+std::unique_ptr<ForestProgram> compile_forest(const core::FlatForestEngine&,
+                                              const std::atomic<bool>*) {
   return nullptr;
 }
 

@@ -48,14 +48,29 @@
 //                 fall back to the interpreted arena with zero behavior
 //                 change.
 //
-// Thread-safety: the enable flag is atomic; ForestProgram is immutable
+// Background compilation: an engine never compiles on the thread that
+// builds it. FlatForestEngine serves its interpreted arena kernels from
+// the moment it is constructed and, when should_compile() accepts the
+// forest, queues it with compile_in_background(). One worker thread per
+// process, started by the first job (so stump forests, kOff and
+// -DHMD_NO_JIT builds never spawn it), compiles the queue in FIFO order
+// and publishes each sealed ForestProgram with one release store; the
+// engine reads that pointer once per stats_batch call, so a batch runs
+// wholly on one backend. Both backends are bit-identical, so the switch
+// is invisible in the outputs. Cancelling a job (the engine's
+// destructor does, on hot-swap, eviction or drop) removes it from the
+// queue, or stops an in-flight compile at its next tree boundary and
+// waits for exactly that; afterwards the worker never reads the forest
+// again.
+//
+// Thread-safety: the policy flag is atomic; ForestProgram is immutable
 // after compile_forest() returns, so concurrent kernel calls need no
-// synchronisation. Compilation itself runs wherever the engine is
-// constructed — on the registry path that is inside the per-entry load
-// mutex, off the registry-wide lock, so a slow compile of one key never
-// blocks another key's get().
+// synchronisation; CompileJob's members are safe to call from any
+// thread.
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "jit/code_buffer.h"
@@ -115,7 +130,7 @@ class ForestProgram {
 
  private:
   friend std::unique_ptr<ForestProgram> compile_forest(
-      const core::FlatForestEngine& forest);
+      const core::FlatForestEngine& forest, const std::atomic<bool>* cancel);
 
   CodeBuffer code_;
   KernelFn kernels_[4] = {nullptr, nullptr, nullptr, nullptr};
@@ -123,10 +138,52 @@ class ForestProgram {
 };
 
 /// Compile `forest`'s arena into native kernels. Returns nullptr when
-/// the JIT is unavailable, the forest exceeds the generator's limits, or
-/// emission fails for any reason — the caller keeps the interpreted
-/// kernels. Does NOT consult enabled(): policy belongs to the caller.
+/// the JIT is unavailable, the forest exceeds the generator's limits,
+/// emission fails for any reason, or `cancel` (polled at every tree
+/// boundary; may be null) reads true — the caller keeps the interpreted
+/// kernels. Does NOT consult policy(): that belongs to the caller.
 std::unique_ptr<ForestProgram> compile_forest(
+    const core::FlatForestEngine& forest,
+    const std::atomic<bool>* cancel = nullptr);
+
+/// One forest's compile on the background worker (see the file header).
+/// Created by compile_in_background(); the forest must stay alive and
+/// unmodified until cancel() returns.
+class CompileJob {
+ public:
+  /// The installed native program: null while the job is queued or
+  /// compiling, and for good once it was declined or cancelled. One
+  /// acquire load — pairs with the worker's release store.
+  const ForestProgram* program() const {
+    return program_.load(std::memory_order_acquire);
+  }
+
+  /// Block until the job has finished: installed, declined or cancelled.
+  void wait() const;
+
+  /// Drop the job if it is still queued; if it is compiling, make it stop
+  /// at the next tree boundary and wait for that. An installed program
+  /// stays installed. On return the worker never touches the forest.
+  void cancel();
+
+ private:
+  friend class CompileWorker;
+  enum class State : std::uint8_t { kQueued, kRunning, kDone };
+
+  explicit CompileJob(const core::FlatForestEngine& forest)
+      : forest_(&forest) {}
+
+  const core::FlatForestEngine* forest_;
+  std::atomic<bool> cancel_{false};
+  State state_ = State::kQueued;  ///< guarded by the worker's mutex
+  std::unique_ptr<ForestProgram> owned_;  ///< written once, by the worker
+  std::atomic<const ForestProgram*> program_{nullptr};
+};
+
+/// Queue `forest` on the process's background compile worker, starting
+/// the worker on first use. The caller owns the job and must cancel() it
+/// before the forest is destroyed.
+std::shared_ptr<CompileJob> compile_in_background(
     const core::FlatForestEngine& forest);
 
 }  // namespace hmd::jit

@@ -5,7 +5,9 @@
 // DetectorRegistry + score() spine, and scattering results back per
 // connection. Registry refresh() — the hot-swap poll — rides a timerfd
 // inside the same loop, so artifact swaps land on wall-clock cadence
-// regardless of traffic.
+// regardless of traffic. A swap stalls the loop only for the artifact's
+// map, verify and parse: a JIT-eligible forest compiles on the
+// background JIT worker while its arena kernels already answer.
 //
 // run() owns the calling thread until request_stop(), which is safe from
 // other threads and from signal handlers (an eventfd wakes the loop).

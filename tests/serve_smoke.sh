@@ -14,7 +14,11 @@
 #   3. --mmap=off: the same registry serves through the full-copy read
 #      path (load=stream, no zero-copy engine), with parity.
 #   4. --jit=on and --jit=off: both keys serve with parity under either
-#      kernel policy (off must never select the native kernels).
+#      kernel policy. On a JIT build the forest serves the arena first and
+#      the `kernel ... arena -> jit` line must appear before the --jit=on
+#      traffic, so that leg verifies native kernels; off must never select
+#      them. A server stretched mid-compile (the jit.tree failpoint) must
+#      still serve with parity and exit 0 on SIGTERM.
 #   5. A bit-flipped artifact (hmd_faultgen) is skipped at startup with a
 #      typed checksum error while its healthy sibling keeps serving; with
 #      every artifact corrupt, the server exits 3 (nothing servable).
@@ -116,17 +120,43 @@ verify dvfs_LR_M5 "$models/dvfs_LR_M5.hmdf"
 stop
 
 # Round 3: both kernel policies serve both keys with parity. (A build
-# without the JIT falls back to the arena under --jit=on, which is the
-# contract; --jit=off must never pick the native kernels.)
+# without the JIT reports jit=unavailable and falls back to the arena
+# under --jit=on, which is the contract; --jit=off must never pick the
+# native kernels.)
+native_line='^kernel +dvfs_RF_M5 +[a-z-]+ -> jit \(compile [0-9.]+ ms\)$'
 for policy in on off; do
-  start_server "$log" --models="$models" --threads=1 --jit="$policy"
+  start_server "$log" --models="$models" --threads=1 --jit="$policy" \
+      --refresh-ms=50
+  if [ "$policy" = on ] && grep -q ", jit=on," "$log"; then
+    # The compile runs in the background; wait for the native kernels.
+    for _ in $(seq 1 300); do
+      grep -qE "$native_line" "$log" && break
+      sleep 0.1
+    done
+    grep -qE "$native_line" "$log" || {
+      echo "FAIL: native kernels never installed under --jit=on" >&2
+      cat "$log" >&2
+      exit 1; }
+  fi
   verify dvfs_RF_M5 "$models/dvfs_RF_M5.hmdf"
   verify dvfs_LR_M5 "$models/dvfs_LR_M5.hmdf"
   stop
-  if [ "$policy" = off ] && grep -q "kernel jit" "$log"; then
+  if [ "$policy" = off ] && grep -qE "kernel jit|-> jit" "$log"; then
     echo "FAIL: --jit=off selected native kernels" >&2; exit 1
   fi
 done
+
+# SIGTERM with a compile in flight: every tree boundary of the compile
+# sleeps 1 s, so the forest serves the arena throughout, and shutdown
+# cancels the compile at its next tree boundary.
+export HMD_FAILPOINTS="jit.tree=delay:1000"
+start_server "$log" --models="$models" --threads=1 --jit=on --refresh-ms=50
+unset HMD_FAILPOINTS
+verify dvfs_RF_M5 "$models/dvfs_RF_M5.hmdf"
+stop
+if grep -q ", jit=on," "$log" && grep -q -- "-> jit" "$log"; then
+  echo "FAIL: the stretched compile finished before SIGTERM" >&2; exit 1
+fi
 
 # Round 4: corrupt the RF artifact (one flipped engine bit). The server
 # must skip it with a typed checksum error and keep serving the LR

@@ -58,10 +58,10 @@ start_server "$workdir/server.log" --models="$models" --threads=1 \
 grep -q "serving  2 model(s)" "$workdir/server.log" || {
   echo "FAIL: expected 2 models from the registry" >&2; exit 1; }
 
-# Every load line must name the kernel backend the engine selected
-# (arena for these mmap-loaded stump-scale bundles under the default
-# --jit=auto policy; jit where the profitability heuristic takes it;
-# stream-fallback when zero-copy is unavailable).
+# Every load line must name the kernel backend serving at load (arena
+# for these mmap-loaded bundles; stream-fallback when zero-copy is
+# unavailable; jit only once a background compile has installed, which
+# the `kernel` line logs).
 for key in dvfs_RF_M5 dvfs_LR_M5; do
   grep -Eq "^model    $key +.*, kernel (jit|arena|stream-fallback)," \
       "$workdir/server.log" || {

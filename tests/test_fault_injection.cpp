@@ -7,6 +7,7 @@
 // good snapshot instead of crashing or serving wrong bytes.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
@@ -49,10 +50,14 @@ LoadErrorCode rejection_code(const std::string& path) {
 class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Per process, like FleetRegistryTest: the same test runs both as its
+    // discovered entry and inside FaultSuite.All, and two processes
+    // running it at once must not remove_all each other's artifacts.
     dir_ = std::filesystem::path(
         "fault_tmp_" +
         std::string(
-            ::testing::UnitTest::GetInstance()->current_test_info()->name()));
+            ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+        "_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     path_ = (dir_ / "detector.hmdf").string();

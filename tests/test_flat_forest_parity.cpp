@@ -15,6 +15,7 @@
 // asserts behaviour, not that native code exists.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <filesystem>
@@ -205,7 +206,9 @@ void expect_identical_results(const api::ScoreResult& jit,
 /// wrapper mask and every uncertainty mode over `x`.
 void expect_jit_parity(const core::TrustedHmd& trained, const Matrix& x,
                        const std::string& tag) {
-  const std::filesystem::path dir = "jit_parity_tmp_" + tag;
+  // Per process: ctest -j runs each case alone and in JitSuite.All.
+  const std::filesystem::path dir =
+      "jit_parity_tmp_" + tag + "_" + std::to_string(::getpid());
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "model.hmdf").string();
   core::save_model(trained, path);
@@ -213,10 +216,13 @@ void expect_jit_parity(const core::TrustedHmd& trained, const Matrix& x,
   const core::TrustedHmd jitted = load_with_policy(path, jit::Policy::kOn);
   const core::TrustedHmd arena = load_with_policy(path, jit::Policy::kOff);
   EXPECT_EQ(arena.engine().kernel_backend(), "arena");
+  // The compile runs in the background; compare against installed native
+  // kernels, never the arena with itself.
+  jitted.flat_forest().wait_for_jit();
   if (jit::available()) {
     // Forced on, every forest compiles (stump-dominated ones included —
     // exactly the codegen paths kAuto would skip).
-    EXPECT_EQ(jitted.engine().kernel_backend(), "jit");
+    ASSERT_EQ(jitted.engine().kernel_backend(), "jit");
     EXPECT_GT(jitted.flat_forest().jit_code_bytes(), 0u);
   }
 

@@ -11,13 +11,20 @@
 // (fallback, policy bookkeeping, concurrency) hold either way.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/detector_registry.h"
+#include "api/score.h"
+#include "common/failpoint.h"
 #include "core/flat_forest.h"
 #include "core/hmd.h"
 #include "core/model_artifact.h"
@@ -170,6 +177,9 @@ TEST(JitPolicy, AutoDeclinesStumpForestsAndTakesDeepOnes) {
   core::TrustedHmd deep(rf_config(100));
   deep.fit(test::small_hpc().train);  // overlapping classes: deep trees
   EXPECT_FALSE(jit::should_compile(stumpy.flat_forest()));
+  stumpy.flat_forest().wait_for_jit();
+  deep.flat_forest().wait_for_jit();
+  EXPECT_EQ(stumpy.flat_forest().jit_code_bytes(), 0u);
   if (jit::available()) {
     EXPECT_TRUE(jit::should_compile(deep.flat_forest()));
     EXPECT_EQ(deep.engine().kernel_backend(), "jit");
@@ -210,18 +220,28 @@ TEST(JitFallback, CompileForestHonoursAvailability) {
   }
 }
 
+/// Scratch directory named after the running test and process (ctest -j
+/// runs each case alone and inside JitSuite.All at the same time).
+std::filesystem::path test_dir(const char* prefix) {
+  std::string name = prefix;
+  name += ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  name += '_';
+  name += std::to_string(::getpid());
+  const std::filesystem::path dir = name;
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 TEST(JitConcurrency, ConcurrentFirstGetCompilesRaceClean) {
   // Several threads hit first-get() on several keys at once with the JIT
-  // forced on: compiles run inside each entry's load mutex, off the
-  // registry-wide lock. Every snapshot must score bit-identically to an
-  // arena-loaded reference — and TSan must stay silent (this suite is in
-  // the TSan CI filter).
+  // forced on: each load queues its compile on the background worker and
+  // serves the arena until the native kernels install. Every snapshot
+  // must score bit-identically to an arena-loaded reference, whichever
+  // backend served it — and TSan must stay silent (this suite is in the
+  // TSan CI filter).
   const PolicyGuard guard;
   const auto& bundle = test::small_hpc();
-  std::string dir_name = "jit_concurrency_tmp_";
-  dir_name += ::testing::UnitTest::GetInstance()->current_test_info()->name();
-  const std::filesystem::path dir = dir_name;
-  std::filesystem::create_directories(dir);
+  const std::filesystem::path dir = test_dir("jit_concurrency_tmp_");
   core::TrustedHmd trained(rf_config(20));
   trained.fit(bundle.train);
   constexpr int kKeys = 3;
@@ -262,10 +282,290 @@ TEST(JitConcurrency, ConcurrentFirstGetCompilesRaceClean) {
   }
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
   for (int k = 0; k < kKeys; ++k) {
+    registry.get(model_key(k))->flat_forest().wait_for_jit();
     const auto health = registry.health(model_key(k));
     EXPECT_EQ(health.kernel_backend,
               jit::available() ? "jit" : "arena");
   }
+  std::filesystem::remove_all(dir);
+}
+
+/// Stretches every background compile for one scope: each tree boundary
+/// sleeps `ms` (the jit.tree failpoint), so a compile stays in flight long
+/// enough to score across, cancel or evict.
+struct SlowCompile {
+  explicit SlowCompile(int ms) {
+    fail::Spec spec;
+    spec.action = fail::Spec::Action::kDelay;
+    spec.delay_ms = ms;
+    fail::arm("jit.tree", spec);
+  }
+  ~SlowCompile() { fail::disarm("jit.tree"); }
+};
+
+bool same_columns(const api::ScoreResult& a, const api::ScoreResult& b) {
+  return a.rows == b.rows && a.prediction == b.prediction &&
+         a.confidence == b.confidence && a.votes == b.votes &&
+         a.vote_entropy == b.vote_entropy && a.soft_entropy == b.soft_entropy &&
+         a.expected_entropy == b.expected_entropy &&
+         a.mutual_information == b.mutual_information &&
+         a.variation_ratio == b.variation_ratio &&
+         a.max_probability == b.max_probability && a.score == b.score &&
+         a.trusted == b.trusted;
+}
+
+/// score() of `x` under every estimate output, by the interpreted arena.
+api::ScoreResult arena_oracle(const std::string& path, const Matrix& x) {
+  const PolicyGuard guard;
+  jit::set_policy(jit::Policy::kOff);
+  api::ScoreRequest request;
+  request.x = &x;
+  request.outputs = api::kEstimateOutputs;
+  api::ScoreResult result;
+  core::load_model(path, /*n_threads=*/1).score(request, result);
+  return result;
+}
+
+std::int64_t ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(JitConcurrency, ThreadsScoreAcrossTheArenaToJitSwap) {
+  // One engine, four threads scoring it from the moment it is loaded: the
+  // early batches run on the arena, the native kernels install mid-stream
+  // (one atomic store), the later batches run native. Every batch must be
+  // bit-identical to the arena reference, whichever backend served it.
+  const PolicyGuard guard;
+  jit::set_policy(jit::Policy::kOff);  // only the served engine compiles
+  const auto& x = test::small_hpc().test.X;
+  const std::filesystem::path dir = test_dir("jit_swap_tmp_");
+  const std::string path = (dir / "deep.hmdf").string();
+  core::TrustedHmd trained(rf_config(20));
+  trained.fit(test::small_hpc().train);
+  core::save_model(trained, path);
+  const api::ScoreResult expected = arena_oracle(path, x);
+
+  const SlowCompile slow(2);  // ~80 tree boundaries: >= 160 ms in flight
+  jit::set_policy(jit::Policy::kOn);
+  const core::TrustedHmd served = core::load_model(path, /*n_threads=*/1);
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0), arena_batches(kThreads, 0),
+      jit_batches(kThreads, 0);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        api::ScoreRequest request;
+        request.x = &x;
+        request.outputs = api::kEstimateOutputs;
+        api::ScoreResult result;
+        const auto t0 = std::chrono::steady_clock::now();
+        // Past the swap by a few batches (or, without a JIT, a fixed
+        // count); the time cap only bounds a broken build.
+        while (jit_batches[t] < 3 && ms_since(t0) < 30000 &&
+               (jit::available() || arena_batches[t] < 20)) {
+          const bool native = served.engine().kernel_backend() == "jit";
+          served.score(request, result);
+          ++(native ? jit_batches[t] : arena_batches[t]);
+          if (!same_columns(result, expected)) ++mismatches[t];
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    EXPECT_GT(arena_batches[t], 0) << "thread " << t;
+    if (jit::available()) {
+      EXPECT_GE(jit_batches[t], 3) << "thread " << t;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JitConcurrency, EngineDestroyedWhileQueuedAndMidCompile) {
+  // Engine a's compile is in flight (stretched to ~4 s), b's is queued
+  // behind it. Destroying b drops its job without waiting for a;
+  // destroying a stops its compile at the next tree boundary. Afterwards
+  // the worker is idle (no tree boundary fires again) and still serves
+  // new jobs.
+  const PolicyGuard guard;
+  jit::set_policy(jit::Policy::kOff);  // only a, b and c compile
+  const std::filesystem::path dir = test_dir("jit_cancel_tmp_");
+  const std::string path = (dir / "deep.hmdf").string();
+  core::TrustedHmd trained(rf_config(20));
+  trained.fit(test::small_hpc().train);
+  core::save_model(trained, path);
+
+  std::optional<core::TrustedHmd> a, b;
+  {
+    const SlowCompile slow(50);
+    jit::set_policy(jit::Policy::kOn);
+    a.emplace(core::load_model(path, /*n_threads=*/1));
+    b.emplace(core::load_model(path, /*n_threads=*/1));
+    if (jit::available()) {
+      const auto t0 = std::chrono::steady_clock::now();
+      while (fail::hit_count("jit.tree") == 0 && ms_since(t0) < 30000) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      ASSERT_GT(fail::hit_count("jit.tree"), 0) << "compile never started";
+    }
+    auto t0 = std::chrono::steady_clock::now();
+    b.reset();  // queued: dropped, no wait for a's compile
+    EXPECT_LT(ms_since(t0), 1000);
+    t0 = std::chrono::steady_clock::now();
+    a.reset();  // mid-compile: waits for one tree boundary at most
+    EXPECT_LT(ms_since(t0), 1000);
+    const int hits = fail::hit_count("jit.tree");
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_EQ(fail::hit_count("jit.tree"), hits) << "a compile kept running";
+    // A 4-shape compile of 20 trees has 80 tree boundaries: a ran few of
+    // them, b none.
+    if (jit::available()) {
+      EXPECT_LT(hits, 80);
+    }
+  }
+
+  const core::TrustedHmd c = core::load_model(path, /*n_threads=*/1);
+  c.flat_forest().wait_for_jit();
+  EXPECT_EQ(c.engine().kernel_backend(), jit::available() ? "jit" : "arena");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JitFallback, ThrowingCompileIsDeclined) {
+  // A compile that throws on the worker (here a jit.tree error failpoint;
+  // in the field, out of memory) is a decline: the wait returns, the
+  // engine stays on the arena, and the worker survives for later jobs.
+  const PolicyGuard guard;
+  jit::set_policy(jit::Policy::kOff);
+  const std::filesystem::path dir = test_dir("jit_decline_tmp_");
+  const std::string path = (dir / "deep.hmdf").string();
+  core::TrustedHmd trained(rf_config(20));
+  trained.fit(test::small_hpc().train);
+  core::save_model(trained, path);
+  const api::ScoreResult expected = arena_oracle(path, test::small_hpc().test.X);
+
+  jit::set_policy(jit::Policy::kOn);
+  fail::Spec spec;
+  spec.action = fail::Spec::Action::kError;
+  fail::arm("jit.tree", spec);
+  const core::TrustedHmd declined = core::load_model(path, /*n_threads=*/1);
+  declined.flat_forest().wait_for_jit();
+  fail::disarm("jit.tree");
+  EXPECT_EQ(declined.engine().kernel_backend(), "arena");
+  EXPECT_EQ(declined.flat_forest().jit_compile_ms(), 0.0);
+  api::ScoreRequest request;
+  request.x = &test::small_hpc().test.X;
+  request.outputs = api::kEstimateOutputs;
+  api::ScoreResult result;
+  declined.score(request, result);
+  EXPECT_TRUE(same_columns(result, expected));
+
+  const core::TrustedHmd later = core::load_model(path, /*n_threads=*/1);
+  later.flat_forest().wait_for_jit();
+  EXPECT_EQ(later.engine().kernel_backend(),
+            jit::available() ? "jit" : "arena");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(JitConcurrency, EvictionOfAJitPendingKeyDuringHotSwaps) {
+  // The eviction x background compile x hot-swap drill. A residency
+  // budget that holds one artifact serves two deep-forest keys, so every
+  // key switch evicts the other key — usually while its compile is still
+  // queued or in flight. Meanwhile the hot key is rename-published
+  // between two versions and refresh() hot-swaps it. Every answer must
+  // match the arena oracle of the version that served it.
+  const PolicyGuard guard;
+  jit::set_policy(jit::Policy::kOff);  // only the registry's loads compile
+  const auto& bundle = test::small_hpc();
+  const Matrix& x = bundle.test.X;
+  const std::filesystem::path dir = test_dir("jit_evict_tmp_");
+  const std::string hot_path = (dir / "hot.hmdf").string();
+  const std::string other_path = (dir / "other.hmdf").string();
+  // Versions differ in ensemble size, so a snapshot names its version.
+  core::HmdConfig other_config = rf_config(20);
+  other_config.seed = 7;
+  core::TrustedHmd v1(rf_config(20)), v2(rf_config(21)), other(other_config);
+  v1.fit(bundle.train);
+  v2.fit(bundle.train);
+  other.fit(bundle.train);
+  const std::string v2_path = (dir / "v2.artifact").string();
+  core::save_model(v1, hot_path);
+  core::save_model(v2, v2_path);
+  core::save_model(other, other_path);
+  const api::ScoreResult expect_v1 = arena_oracle(hot_path, x);
+  const api::ScoreResult expect_v2 = arena_oracle(v2_path, x);
+  const api::ScoreResult expect_other = arena_oracle(other_path, x);
+
+  std::size_t one = 0;
+  for (const std::string& path : {hot_path, v2_path, other_path}) {
+    api::DetectorRegistry unbounded(1);
+    unbounded.add("key", path);
+    one = std::max(one, unbounded.get("key")->engine().memory_bytes());
+  }
+  fleet::FleetOptions options;
+  options.residency_budget_bytes = one + one / 2;  // one key fits
+  api::DetectorRegistry registry(1, core::LoadMode::kAuto, options);
+  registry.add("hot", hot_path);
+  registry.add("other", other_path);
+
+  const SlowCompile slow(1);  // each compile stays pending >= 80 ms
+  jit::set_policy(jit::Policy::kOn);
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0}, answers{0};
+  std::vector<std::thread> threads;
+  // One scorer alternating keys: it drops each snapshot before the next
+  // get(), so the other key is never lease-pinned and every switch
+  // evicts it.
+  threads.emplace_back([&] {
+    api::ScoreRequest request;
+    request.x = &x;
+    request.outputs = api::kEstimateOutputs;
+    api::ScoreResult result;
+    for (int i = 0; !stop.load(); ++i) {
+      const bool hot = i % 2 == 0;
+      const auto hmd = registry.get(hot ? "hot" : "other");
+      hmd->score(request, result);
+      const api::ScoreResult& want =
+          !hot ? expect_other
+               : hmd->engine().n_members() == 20 ? expect_v1 : expect_v2;
+      if (!same_columns(result, want)) ++mismatches;
+      ++answers;
+    }
+  });
+  threads.emplace_back([&] {
+    while (!stop.load()) {
+      registry.refresh();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  for (int publish = 0; publish < 6; ++publish) {
+    core::save_model(publish % 2 == 0 ? v2 : v1, hot_path);
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  }
+  stop.store(true);
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(answers.load(), 0);
+  EXPECT_GT(registry.health("hot").evictions, 0u);
+  EXPECT_GE(registry.health("hot").loads_ok, 2u);
+
+  // Settled: the last publish (v1) serves on installed native kernels.
+  fail::disarm("jit.tree");
+  registry.refresh();
+  const auto hot = registry.get("hot");
+  hot->flat_forest().wait_for_jit();
+  EXPECT_EQ(hot->engine().kernel_backend(),
+            jit::available() ? "jit" : "arena");
+  api::ScoreRequest request;
+  request.x = &x;
+  request.outputs = api::kEstimateOutputs;
+  api::ScoreResult result;
+  hot->score(request, result);
+  EXPECT_TRUE(same_columns(result, expect_v1));
   std::filesystem::remove_all(dir);
 }
 

@@ -46,10 +46,14 @@
 // counters, and each `health` line carries the entry's eviction tally.
 //
 // Kernel knobs: --jit=on|off|auto sets the native-compilation policy for
-// every engine loaded (jit/jit.h). --simd=auto|scalar|avx2|avx512 caps
-// the runtime ISA dispatch for the fast tier's vectorised kernels
-// (simd/cpu.h; the flag beats the HMD_SIMD env var, and neither can
-// raise the level above what CPUID detected).
+// every engine loaded (jit/jit.h; the `serving` line shows it). A forest
+// the policy accepts serves the interpreted arena at once and compiles
+// on the background JIT worker; when the native kernels install, the
+// next refresh tick logs `kernel   KEY arena -> jit (compile N ms)`.
+// --simd=auto|scalar|avx2|avx512 caps the runtime ISA dispatch for the
+// fast tier's vectorised kernels (simd/cpu.h; the flag beats the
+// HMD_SIMD env var, and neither can raise the level above what CPUID
+// detected).
 //
 // usage: hmd_serve --listen=HOST:PORT [--models=DIR] [model.hmdf ...]
 //                  [--threads=N] [--refresh-ms=N] [--batch-rows=N]
@@ -199,26 +203,49 @@ void describe(const std::string& key, const core::TrustedHmd& hmd) {
               hmd.config().entropy_threshold);
 }
 
-/// Log every health-state transition since the previous call (and update
-/// `last`) — the serving log's record of degradation and recovery.
-void report_health_changes(const api::DetectorRegistry& registry,
-                           std::map<std::string, api::HealthState>& last) {
+/// What the serving log last reported for one key.
+struct ReportedState {
+  api::HealthState health = api::HealthState::kHealthy;
+  std::string kernel;  ///< empty while nothing is loaded
+};
+
+/// Log every health-state and kernel-backend transition since the
+/// previous call (and update `last`) — the serving log's record of
+/// degradation, recovery, and native kernels arriving from the
+/// background JIT compile.
+void report_health_changes(api::DetectorRegistry& registry,
+                           std::map<std::string, ReportedState>& last) {
   for (const api::ModelHealth& entry : registry.health()) {
-    const auto it = last.find(entry.key);
-    const api::HealthState previous =
-        it == last.end() ? api::HealthState::kHealthy : it->second;
-    if (previous != entry.state) {
+    ReportedState& seen = last[entry.key];
+    if (seen.health != entry.state) {
       if (entry.state == api::HealthState::kHealthy) {
         std::printf("health   %-24s %s -> healthy (recovered)\n",
-                    entry.key.c_str(), api::health_state_name(previous));
+                    entry.key.c_str(), api::health_state_name(seen.health));
       } else {
         std::printf("health   %-24s %s -> %s: %s\n", entry.key.c_str(),
-                    api::health_state_name(previous),
+                    api::health_state_name(seen.health),
                     api::health_state_name(entry.state),
                     entry.last_error.c_str());
       }
     }
-    last[entry.key] = entry.state;
+    // A load or an eviction (kernel empty on either side) is not a
+    // transition; a swap to another backend on the same snapshot — or a
+    // hot-swap that went back to the arena — is.
+    if (!seen.kernel.empty() && !entry.kernel_backend.empty() &&
+        seen.kernel != entry.kernel_backend) {
+      std::printf("kernel   %-24s %s -> %s", entry.key.c_str(),
+                  seen.kernel.c_str(), entry.kernel_backend.c_str());
+      const auto hmd = entry.kernel_backend == "jit"
+                           ? registry.try_get(entry.key)
+                           : nullptr;
+      if (hmd != nullptr) {
+        std::printf(" (compile %.1f ms)",
+                    hmd->flat_forest().jit_compile_ms());
+      }
+      std::printf("\n");
+    }
+    seen.health = entry.state;
+    seen.kernel = entry.kernel_backend;
   }
 }
 
@@ -273,7 +300,7 @@ int run_listen(const ServeArgs& args, api::DetectorRegistry& registry,
                                    ? "stream"
                                    : "auto";
   serve::ScoreServer server(registry, options);
-  std::map<std::string, api::HealthState> health_seen;
+  std::map<std::string, ReportedState> health_seen;
   report_health_changes(registry, health_seen);
   server.set_refresh_hook(
       [&registry, &health_seen](const std::vector<std::string>& reloaded) {
@@ -284,9 +311,13 @@ int run_listen(const ServeArgs& args, api::DetectorRegistry& registry,
         std::fflush(stdout);
       });
 
-  std::printf("serving  %zu model(s), load=%s, refresh every %d ms, "
+  const char* jit_name = !jit::available()                    ? "unavailable"
+                         : jit::policy() == jit::Policy::kOn  ? "on"
+                         : jit::policy() == jit::Policy::kOff ? "off"
+                                                              : "auto";
+  std::printf("serving  %zu model(s), load=%s, jit=%s, refresh every %d ms, "
               "batch<=%zu rows, delay<=%lld us\n",
-              n_models, load_mode_name, options.refresh_ms,
+              n_models, load_mode_name, jit_name, options.refresh_ms,
               options.batcher.max_batch_rows,
               static_cast<long long>(options.batcher.max_delay_us));
   std::printf("listening on %s:%u\n", options.host.c_str(),
