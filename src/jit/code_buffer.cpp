@@ -27,6 +27,13 @@ std::size_t page_round(std::size_t n) {
   return (n + page - 1) / page * page;
 }
 
+#if HMD_JIT_HAVE_MMAP
+void* map_rw(std::size_t bytes) {
+  return ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+}
+#endif
+
 }  // namespace
 
 CodeBuffer::CodeBuffer() = default;
@@ -70,14 +77,23 @@ bool CodeBuffer::grow(std::size_t extra) {
   std::size_t want = capacity_ == 0 ? kInitialCapacity : capacity_ * 2;
   while (want < size_ + extra) want *= 2;
   want = page_round(want);
-  void* fresh = ::mmap(nullptr, want, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+#if defined(__linux__)
+  // Move the pages, not the bytes: the kernel relinks the mapping's pages
+  // into the larger range, so growth never holds two copies of the code.
+  void* fresh = base_ == nullptr
+                    ? map_rw(want)
+                    : ::mremap(base_, capacity_, want, MREMAP_MAYMOVE);
+#else
+  void* fresh = map_rw(want);
+  if (fresh != MAP_FAILED && base_ != nullptr) {
+    std::memcpy(fresh, base_, size_);
+    ::munmap(base_, capacity_);
+  }
+#endif
   if (fresh == MAP_FAILED) {
     ok_ = false;
     return false;
   }
-  if (size_ != 0) std::memcpy(fresh, base_, size_);
-  if (base_ != nullptr) ::munmap(base_, capacity_);
   base_ = static_cast<std::uint8_t*>(fresh);
   capacity_ = want;
   return true;
@@ -91,10 +107,6 @@ void CodeBuffer::patch32(std::size_t offset, std::uint32_t v) {
   assert(!sealed_);
   if (!ok_ || sealed_ || offset + 4 > size_) return;
   std::memcpy(base_ + offset, &v, 4);
-}
-
-void CodeBuffer::align_to(std::size_t alignment, std::uint8_t fill) {
-  while (size_ % alignment != 0) put8(fill);
 }
 
 bool CodeBuffer::protect() {

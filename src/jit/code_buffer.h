@@ -8,9 +8,11 @@
 // writable and executable at the same time, and emission after protect()
 // is a programming error (asserted).
 //
-// Growth remaps: a larger anonymous mapping is created, the emitted bytes
-// are copied, and the old mapping is released. Consumers therefore refer
-// to code positions as *offsets* until protect(), and only then resolve
+// Growth doubles the mapping without a second copy of the code: on Linux
+// mremap(MREMAP_MAYMOVE) moves the pages into the larger range; other
+// POSIX targets map a larger range, copy the emitted bytes and release
+// the old one. Either way the mapping may move, so consumers refer to
+// code positions as *offsets* until protect(), and only then resolve
 // entry points via entry(offset) — the base address is not stable before
 // the seal.
 //
@@ -58,15 +60,14 @@ class CodeBuffer {
   /// protect() only.
   void patch32(std::size_t offset, std::uint32_t v);
 
-  /// Pad with a given byte until size() is a multiple of `alignment`.
-  void align_to(std::size_t alignment, std::uint8_t fill = 0xCC);
-
   /// Bytes emitted so far.
   std::size_t size() const { return size_; }
 
-  /// False once any growth or protection step failed; the buffer is then
-  /// inert (emission is ignored, protect() fails).
+  /// False once any growth or protection step failed, or fail() was
+  /// called; the buffer is then inert (emission is ignored, protect()
+  /// fails).
   bool ok() const { return ok_; }
+  void fail() { ok_ = false; }
 
   /// Seal the buffer: mprotect the mapping read+execute. After this the
   /// buffer is immutable and entry() becomes valid. Returns false on

@@ -86,10 +86,10 @@ struct TreeCompiler {
   /// leaf posterior for leaves; ent_slot[i] is leaf_entropy[i]; one_slot
   /// is the 1.0 malware-vote increment. Hash-interning each constant four
   /// times (once per shape) dominated compile time on large forests.
-  std::span<const std::size_t> node_slot;
-  std::span<const std::size_t> ent_slot;
-  std::size_t one_slot;
-  std::size_t zero_slot;
+  std::span<const std::uint32_t> node_slot;
+  std::span<const std::uint32_t> ent_slot;
+  std::uint32_t one_slot;
+  std::uint32_t zero_slot;
   bool posterior;
   bool entropy;
   /// Nodes emitted so far across the whole kernel — a defensive bound so
@@ -105,7 +105,7 @@ struct TreeCompiler {
   /// adding +/-0.0 never changes its bit pattern — the skip is
   /// bit-identical to the interpreter's unconditional add, and on
   /// mostly-pure-leaf forests it shrinks the emitted code substantially.
-  void emit_accumulate_const(Gpr acc_base, double c, std::size_t slot) {
+  void emit_accumulate_const(Gpr acc_base, double c, std::uint32_t slot) {
     if (c == 0.0) return;
     e.movsd_load_const(0, slot);
     e.movsd_load_indexed(1, acc_base, 0);
@@ -129,7 +129,7 @@ struct TreeCompiler {
   /// payloads need no blend at all — the select is a constant either
   /// way — and collapse to the (zero-skipping) constant accumulate.
   void emit_blend_accumulate(Gpr acc_base, double lo, double hi,
-                             std::size_t lo_slot, std::size_t hi_slot) {
+                             std::uint32_t lo_slot, std::uint32_t hi_slot) {
     std::uint64_t lo_bits = 0, hi_bits = 0;
     std::memcpy(&lo_bits, &lo, 8);
     std::memcpy(&hi_bits, &hi, 8);
@@ -171,7 +171,7 @@ struct TreeCompiler {
     struct Payload {
       Gpr base;
       double lo, hi;
-      std::size_t lo_slot, hi_slot;
+      std::uint32_t lo_slot, hi_slot;
     };
     Payload payloads[3];
     std::size_t n = 0;
@@ -290,24 +290,21 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest,
 
   auto program = std::unique_ptr<ForestProgram>(new ForestProgram());
   X64Emitter emitter(program->code_);
-  // Upper bounds across all four shapes: <=2 jumps per node (leaf jmp or
-  // branch jb), <=8 const references per node (threshold + three blended
-  // payloads x2), pool <= one distinct slot per node value plus 0/1.
-  emitter.reserve(/*jumps=*/nodes.size() * 8, /*consts=*/nodes.size() * 8,
-                  /*pool=*/nodes.size() + 2);
-  // Intern every constant once up front; the four shape passes then reuse
-  // the slot ids without touching the dedup hash again.
+  // Intern every constant once up front, writing the pool at the head of
+  // the buffer; the four shape passes then emit final RIP displacements
+  // from the slot ids without touching the dedup hash again.
   const auto leaf_entropy = forest.leaf_entropy_view();
-  const std::size_t one_slot = emitter.pool_const(1.0);
-  const std::size_t zero_slot = emitter.pool_const(0.0);
-  std::vector<std::size_t> node_slot(nodes.size());
-  std::vector<std::size_t> ent_slot(nodes.size());
+  const std::uint32_t one_slot = emitter.pool_const(1.0);
+  const std::uint32_t zero_slot = emitter.pool_const(0.0);
+  std::vector<std::uint32_t> node_slot(nodes.size());
+  std::vector<std::uint32_t> ent_slot(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     // Poll every 4096 nodes: about a tree's worth of interning.
     if (i % 4096 == 0 && cancelled()) return nullptr;
     node_slot[i] = emitter.pool_const(nodes[i].threshold);
     ent_slot[i] = emitter.pool_const(leaf_entropy[i]);
   }
+  emitter.end_pool();
   std::size_t entries[4] = {};
   for (unsigned shape = 0; shape < 4; ++shape) {
     entries[shape] = emitter.offset();
@@ -327,11 +324,10 @@ std::unique_ptr<ForestProgram> compile_forest(const FlatForestEngine& forest,
       HMD_FAILPOINT("jit.tree", "background jit compile");
       if (cancelled()) return nullptr;
       compiler.emit_tree(root);
-      if (!compiler.ok) return nullptr;
+      if (!compiler.ok || !emitter.resolve_labels()) return nullptr;
     }
     emitter.ret();
   }
-  if (!emitter.finish()) return nullptr;
   if (!program->code_.protect()) return nullptr;
   for (unsigned shape = 0; shape < 4; ++shape) {
     program->kernels_[shape] = reinterpret_cast<ForestProgram::KernelFn>(

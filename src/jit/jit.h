@@ -1,7 +1,7 @@
 #pragma once
 // Tree-to-native JIT: compile a loaded FlatForestEngine's arena into
 // straight-line x86-64 batch kernels with thresholds, leaf posteriors,
-// entropies and votes baked in as immediates.
+// entropies and votes baked in as RIP-relative constants.
 //
 // A compiled ForestProgram holds four entry points — one per StatsMask
 // shape (posterior and/or entropy demanded; votes always) — sharing one
@@ -28,6 +28,16 @@
 // Trees are emitted in ascending member order with a per-tree row loop,
 // so per-sample accumulation order matches the interpreter exactly and
 // IEEE addition makes every partial sum bit-identical.
+//
+// Emission runs in memory that tracks the code it produces. The buffer
+// opens with the constant pool: every threshold, posterior and entropy
+// is interned once, by bit pattern, and written there before any code,
+// after which the dedup index is freed. Each constant load is then
+// emitted with its final displacement. Branches are the only fixups,
+// and they are patched as each tree is finished, so their bookkeeping
+// is sized by the largest tree. The buffer grows by moving its pages
+// (mremap on Linux), never by holding two copies. A compile's peak is
+// therefore about 1.1x the code it emits.
 //
 // Availability and gating:
 //   compile-time  x86-64 + POSIX mmap only; -DHMD_NO_JIT compiles the

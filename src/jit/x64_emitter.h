@@ -3,30 +3,38 @@
 //
 // Emits exactly the instruction set the tree compiler needs — scalar SSE2
 // double moves/compares/blends, a handful of GPR ops for the row loop,
-// and rel32 control flow — into a CodeBuffer, with two fixup mechanisms:
+// and rel32 control flow — into a CodeBuffer laid out pool first:
 //
-//   Labels     forward/backward rel32 branch targets. bind() anchors a
-//              label at the current offset; finish() patches every
-//              recorded jump site.
-//   Constants  an 8-byte-aligned constant pool appended after the code by
-//              finish(), deduplicated by bit pattern. movsd/cmpsd sites
-//              reference pool slots RIP-relatively; finish() patches the
-//              disp32 of each site once the pool layout is known. All
-//              pool references are scalar m64 loads, which carry no
-//              alignment requirement (unlike packed m128 operands) — the
-//              blend sequences therefore run register-to-register.
+//   Constants  a pool of 8-byte slots at the head of the buffer (offset
+//              0 of a fresh mapping, so aligned), deduplicated by bit
+//              pattern. Every constant is interned (pool_const) before
+//              any code is emitted; end_pool() then drops the dedup
+//              index, and each movsd/cmpsd is emitted with its final
+//              RIP-relative disp32 (negative: the pool lies behind the
+//              code). All pool references are scalar m64 loads, which
+//              carry no alignment requirement (unlike packed m128
+//              operands) — the blend sequences therefore run
+//              register-to-register.
+//   Labels     forward/backward rel32 branch targets — the one fixup
+//              mechanism. bind() anchors a label at the current offset;
+//              resolve_labels() patches every jump recorded since the
+//              last call and forgets the labels, so the compiler resolves
+//              once per tree and the bookkeeping is sized by the largest
+//              tree, not by the forest.
 //
 // Register discipline: generated kernels are leaf functions touching only
 // SysV volatile registers (rdi rsi rdx rcx r8 r9 rax, xmm0-xmm7), so no
 // prologue, stack frame, or callee-saved spill is ever emitted.
 //
 // RIP-relative displacements are measured from the END of the referencing
-// instruction; cmpsd carries a trailing imm8 after its disp32, which the
-// fixup bookkeeping accounts for (`end` is recorded per site).
+// instruction; cmpsd carries a trailing imm8 after its disp32, which
+// emit_pool_disp() accounts for.
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory_resource>
 #include <unordered_map>
 #include <vector>
 
@@ -54,37 +62,54 @@ class X64Emitter {
 
   std::size_t offset() const { return code_.size(); }
 
+  // --- constant pool -----------------------------------------------------
+
+  /// Intern a double by bit pattern, appending it to the pool at the head
+  /// of the buffer; returns its slot. Only valid before end_pool() and
+  /// before any instruction is emitted.
+  std::uint32_t pool_const(double v) {
+    assert(!code_.ok() ||
+           code_.size() == pool_base_ + 8 * pool_index_.size());
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, 8);
+    const auto [it, fresh] = pool_index_.try_emplace(
+        bits, static_cast<std::uint32_t>(pool_index_.size()));
+    if (fresh) code_.put64(bits);
+    return it->second;
+  }
+
+  /// Close the pool: free the dedup index. Code emission starts here.
+  void end_pool() {
+    pool_index_ = decltype(pool_index_)(&pool_arena_);  // holds no memory
+    pool_arena_.release();
+  }
+
   // --- labels ------------------------------------------------------------
 
-  using Label = std::size_t;
-
-  /// Pre-size the fixup bookkeeping. Purely an allocation hint — large
-  /// forests record hundreds of thousands of fixups, and doubling-growth
-  /// copies are a measurable slice of compile time.
-  void reserve(std::size_t jumps, std::size_t consts, std::size_t pool) {
-    jumps_.reserve(jumps);
-    consts_.reserve(consts);
-    pool_.reserve(pool);
-  }
+  using Label = std::uint32_t;
 
   Label make_label() {
     labels_.push_back(kUnbound);
-    return labels_.size() - 1;
+    return static_cast<Label>(labels_.size() - 1);
   }
 
   void bind(Label label) { labels_[label] = code_.size(); }
 
-  // --- constant pool -----------------------------------------------------
-
-  /// Intern a double by bit pattern; returns the pool slot id.
-  std::size_t pool_const(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, 8);
-    const auto it = pool_index_.find(bits);
-    if (it != pool_index_.end()) return it->second;
-    pool_.push_back(bits);
-    pool_index_.emplace(bits, pool_.size() - 1);
-    return pool_.size() - 1;
+  /// Patch every jump recorded since the last call, then forget those
+  /// jumps and labels (label ids restart from 0). An unbound target
+  /// poisons the buffer, so it can never be sealed, and returns false.
+  bool resolve_labels() {
+    for (const JumpFixup& fix : jumps_) {
+      const std::size_t target = labels_[fix.label];
+      if (target == kUnbound) {
+        code_.fail();
+        return false;
+      }
+      code_.patch32(fix.patch_at, rel32(fix.patch_at + 4, target));
+    }
+    jumps_.clear();
+    labels_.clear();
+    return code_.ok();
   }
 
   // --- SSE2 scalar double ------------------------------------------------
@@ -108,22 +133,22 @@ class X64Emitter {
   }
 
   /// movsd xmm, [rip + <pool slot>]
-  void movsd_load_const(Xmm dst, std::size_t slot) {
+  void movsd_load_const(Xmm dst, std::uint32_t slot) {
     code_.put8(0xF2);
     code_.put8(0x0F);
     code_.put8(0x10);
     emit_modrm_rip(dst);
-    record_const_fixup(slot, /*tail_bytes=*/0);
+    emit_pool_disp(slot, /*tail_bytes=*/0);
   }
 
   /// cmpsd xmm, [rip + <pool slot>], imm8 — xmm = (xmm CMP const) mask.
   /// imm8 2 (LE) yields all-ones iff xmm <= const; NaN compares false.
-  void cmpsd_const(Xmm dst, std::size_t slot, std::uint8_t imm) {
+  void cmpsd_const(Xmm dst, std::uint32_t slot, std::uint8_t imm) {
     code_.put8(0xF2);
     code_.put8(0x0F);
     code_.put8(0xC2);
     emit_modrm_rip(dst);
-    record_const_fixup(slot, /*tail_bytes=*/1);
+    emit_pool_disp(slot, /*tail_bytes=*/1);
     code_.put8(imm);
   }
 
@@ -183,42 +208,13 @@ class X64Emitter {
 
   void ret() { code_.put8(0xC3); }
 
-  // --- finalisation ------------------------------------------------------
-
-  /// Patch every branch, lay out the constant pool after the code, and
-  /// patch every RIP-relative pool reference. Call exactly once, after
-  /// all emission. Returns false if the underlying buffer failed.
-  bool finish() {
-    if (!code_.ok()) return false;
-    for (const JumpFixup& fix : jumps_) {
-      const std::size_t target = labels_[fix.label];
-      if (target == kUnbound) return false;
-      code_.patch32(fix.patch_at, rel32(fix.end, target));
-    }
-    code_.align_to(8);
-    std::vector<std::size_t> slot_offsets(pool_.size());
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
-      slot_offsets[i] = code_.size();
-      code_.put64(pool_[i]);
-    }
-    for (const ConstFixup& fix : consts_) {
-      code_.patch32(fix.patch_at, rel32(fix.end, slot_offsets[fix.slot]));
-    }
-    return code_.ok();
-  }
-
  private:
   static constexpr std::size_t kUnbound = static_cast<std::size_t>(-1);
 
+  /// A rel32 jump site; the rel32 field ends its instruction.
   struct JumpFixup {
     std::size_t patch_at;  ///< offset of the rel32 field
-    std::size_t end;       ///< offset of the end of the instruction
     Label label;
-  };
-  struct ConstFixup {
-    std::size_t patch_at;
-    std::size_t end;
-    std::size_t slot;
   };
 
   static std::uint32_t rel32(std::size_t from_end, std::size_t target) {
@@ -238,7 +234,7 @@ class X64Emitter {
     code_.put32(static_cast<std::uint32_t>(disp));
   }
 
-  /// modrm(mod=00, reg, rm=101) — RIP-relative, disp32 placeholder.
+  /// modrm(mod=00, reg, rm=101) — RIP-relative; emit_pool_disp() follows.
   void emit_modrm_rip(std::uint8_t reg) {
     code_.put8(static_cast<std::uint8_t>(0x05 | (reg << 3)));
   }
@@ -261,23 +257,26 @@ class X64Emitter {
   }
 
   void record_jump_fixup(Label target) {
-    const std::size_t patch_at = code_.size();
+    jumps_.push_back({code_.size(), target});
     code_.put32(0);
-    jumps_.push_back({patch_at, code_.size(), target});
   }
 
-  void record_const_fixup(std::size_t slot, std::size_t tail_bytes) {
-    const std::size_t patch_at = code_.size();
-    code_.put32(0);
-    consts_.push_back({patch_at, code_.size() + tail_bytes, slot});
+  /// The final disp32 of a pool reference whose instruction ends
+  /// `tail_bytes` after it.
+  void emit_pool_disp(std::uint32_t slot, std::size_t tail_bytes) {
+    const std::size_t end = code_.size() + 4 + tail_bytes;
+    code_.put32(rel32(end, pool_base_ + std::size_t{8} * slot));
   }
 
   CodeBuffer& code_;
+  const std::size_t pool_base_ = code_.size();  ///< offset of pool slot 0
+  /// Bump arena for the dedup index: dropping it (end_pool(), a cancelled
+  /// compile) frees a few blocks, not one node per constant.
+  std::pmr::monotonic_buffer_resource pool_arena_;
+  std::pmr::unordered_map<std::uint64_t, std::uint32_t> pool_index_{
+      &pool_arena_};
   std::vector<std::size_t> labels_;
   std::vector<JumpFixup> jumps_;
-  std::vector<ConstFixup> consts_;
-  std::vector<std::uint64_t> pool_;
-  std::unordered_map<std::uint64_t, std::size_t> pool_index_;
 };
 
 }  // namespace hmd::jit

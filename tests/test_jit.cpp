@@ -1,9 +1,11 @@
 // Unit and integration tests for the tree-to-native JIT backend
 // (src/jit/): the executable CodeBuffer's W^X life cycle, the x86-64
-// emitter's label/constant-pool fixups (asserted by executing a
-// hand-emitted kernel), the three-state compile policy and its
-// profitability heuristic, fallback-to-arena behaviour, and — for the
-// TSan job — concurrent first-get() compiles through the registry.
+// emitter's pool-first constant references and per-tree label
+// resolution (asserted by executing a hand-emitted kernel), the
+// compile's peak memory against the code it emits, the three-state
+// compile policy and its profitability heuristic, fallback-to-arena
+// behaviour, and — for the TSan job — concurrent first-get() compiles
+// through the registry.
 //
 // Everything here is a no-op-but-green on targets where the JIT is
 // compiled out (-DHMD_NO_JIT / non-x86-64): the availability-dependent
@@ -17,9 +19,11 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/detector_registry.h"
@@ -72,8 +76,9 @@ TEST(JitCodeBuffer, EmitProtectExecute) {
 }
 
 TEST(JitCodeBuffer, GrowsPastInitialMappingAndStaysExecutable) {
-  // Force several remap-and-copy growths (initial capacity is 64 KiB),
-  // then prove the surviving bytes still execute end to end.
+  // Force several growths (initial capacity is 64 KiB; each one moves the
+  // mapping, by mremap on Linux), then prove the surviving bytes still
+  // execute end to end.
   jit::CodeBuffer code;
   constexpr std::size_t kNops = 300 * 1000;
   for (std::size_t i = 0; i < kNops; ++i) code.put8(0x90);  // nop sled
@@ -86,15 +91,20 @@ TEST(JitCodeBuffer, GrowsPastInitialMappingAndStaysExecutable) {
   fn();
 }
 
-TEST(JitCodeBuffer, AlignAndPatch) {
+TEST(JitCodeBuffer, PatchRewritesEmittedBytes) {
+  // mov eax, imm32; ret — with the immediate patched after emission, the
+  // way resolve_labels() patches a rel32.
   jit::CodeBuffer code;
-  code.put8(0x01);
-  code.align_to(8);
-  EXPECT_EQ(code.size() % 8, 0u);
+  code.put8(0xB8);
   const std::size_t at = code.size();
   code.put32(0);
-  code.patch32(at, 0xDEADBEEF);
-  EXPECT_TRUE(code.ok());
+  code.put8(0xC3);
+  code.patch32(at, 0x1234ABCD);
+  ASSERT_TRUE(code.ok());
+  ASSERT_TRUE(code.protect());
+  const auto fn = reinterpret_cast<std::uint32_t (*)()>(
+      const_cast<void*>(code.entry(0)));
+  EXPECT_EQ(fn(), 0x1234ABCDu);
 }
 
 TEST(JitCodeBuffer, MoveTransfersOwnership) {
@@ -121,13 +131,18 @@ TEST(JitEmitter, PoolInternsByBitPattern) {
 
 TEST(JitEmitter, HandEmittedRowLoopExecutes) {
   // The forest kernels' scaffolding in miniature: a row loop over r9
-  // accumulating a pooled constant into votes[r9]. Executing it proves
-  // label binding, rel32 patching, RIP-relative pool fixups, and the
-  // SIB-indexed load/store encodings in one go.
+  // accumulating a pooled constant into votes[r9]. The pool is laid out
+  // first, so the kernel's entry follows it and its RIP-relative
+  // displacement is negative. Executing it proves label binding, rel32
+  // patching, backward pool references, and the SIB-indexed load/store
+  // encodings in one go.
   jit::CodeBuffer code;
   jit::X64Emitter emitter(code);
+  emitter.pool_const(-1.0);  // slot 0: the used slot is not the pool base
+  const std::uint32_t slot = emitter.pool_const(2.5);
+  emitter.end_pool();
   const std::size_t entry_offset = emitter.offset();
-  const std::size_t slot = emitter.pool_const(2.5);
+  EXPECT_EQ(entry_offset, 16u);
   emitter.zero_r9();
   const jit::X64Emitter::Label loop = emitter.make_label();
   const jit::X64Emitter::Label done = emitter.make_label();
@@ -142,7 +157,7 @@ TEST(JitEmitter, HandEmittedRowLoopExecutes) {
   emitter.jmp(loop);
   emitter.bind(done);
   emitter.ret();
-  ASSERT_TRUE(emitter.finish());
+  ASSERT_TRUE(emitter.resolve_labels());
   ASSERT_TRUE(code.protect());
 
   using KernelFn = void (*)(const double*, std::size_t, double*, double*,
@@ -152,6 +167,77 @@ TEST(JitEmitter, HandEmittedRowLoopExecutes) {
   std::vector<double> votes = {1.0, 0.0, -2.5, 10.0};
   fn(nullptr, votes.size(), votes.data(), nullptr, nullptr);
   EXPECT_EQ(votes, (std::vector<double>{3.5, 2.5, 0.0, 12.5}));
+}
+
+TEST(JitEmitter, UnboundLabelFailsResolution) {
+  // A jump to a label that is never bound must fail the tree's
+  // resolution and poison the buffer, so the dangling rel32 can never be
+  // sealed executable.
+  jit::CodeBuffer code;
+  jit::X64Emitter emitter(code);
+  emitter.end_pool();
+  const jit::X64Emitter::Label bound = emitter.make_label();
+  const jit::X64Emitter::Label dangling = emitter.make_label();
+  emitter.bind(bound);
+  emitter.jmp(bound);
+  emitter.jb(dangling);
+  emitter.ret();
+  EXPECT_FALSE(emitter.resolve_labels());
+  EXPECT_FALSE(code.ok());
+  EXPECT_FALSE(code.protect());
+}
+
+/// VmHWM and VmRSS of this process in kB, or nullopt when
+/// /proc/self/status cannot be read.
+std::optional<std::pair<long, long>> hwm_and_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  long hwm = -1, rss = -1;
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) hwm = std::stol(line.substr(6));
+    if (line.rfind("VmRSS:", 0) == 0) rss = std::stol(line.substr(6));
+  }
+  if (hwm < 0 || rss < 0) return std::nullopt;
+  return std::make_pair(hwm, rss);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+TEST(JitMemory, CompilePeakTracksCodeSize) {
+  // The compile's transient memory must track the code it emits: the
+  // pool is written in place, branch labels are resolved per tree, and
+  // growth moves the mapping instead of copying it. A forest-wide fixup
+  // table or a copy per doubling shows up as a peak of ~3x the code.
+  if (kSanitized) GTEST_SKIP() << "sanitizer shadow memory skews RSS";
+  const PolicyGuard guard;
+  jit::set_policy(jit::Policy::kOff);  // no background compile to race
+  const data::DatasetBundle bundle = [] {
+    data::HpcDatasetConfig config;
+    config.seed = 13;
+    config.n_train = 2000;
+    config.n_test = 10;
+    config.n_unknown = 10;
+    return data::build_hpc_dataset(config);
+  }();
+  core::TrustedHmd hmd(rf_config(100));
+  hmd.fit(bundle.train);
+  const auto before = hwm_and_rss_kb();
+  if (!before) GTEST_SKIP() << "/proc/self/status unreadable";
+  const auto program = jit::compile_forest(hmd.flat_forest());
+  const auto after = hwm_and_rss_kb();
+  ASSERT_NE(program, nullptr);
+  ASSERT_TRUE(after.has_value());
+  const long base_kb = std::max(before->first, before->second);
+  const double rise_bytes =
+      static_cast<double>(std::max(0L, after->first - base_kb)) * 1024.0;
+  const double code_bytes = static_cast<double>(program->code_bytes());
+  EXPECT_LE(rise_bytes, 1.6 * code_bytes)
+      << "peak rose " << rise_bytes / 1e6 << " MB for " << code_bytes / 1e6
+      << " MB of code";
 }
 
 #endif  // HMD_JIT_SUPPORTED

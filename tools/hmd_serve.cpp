@@ -39,9 +39,13 @@
 //
 // Fleet-scale knobs: --residency-mb=N bounds how many artifact bytes stay
 // resident (the registry evicts the coldest unleased models past the
-// budget and transparently reloads them on next use; 0 = unbounded) and
-// --filter=off disables the cuckoo-filter front door that rejects
-// unknown-model lookups without touching a shard lock. Shutdown prints
+// budget and transparently reloads them on next use; 0 = unbounded). The
+// budget counts artifact bytes only, not native JIT code: an HPC RF with
+// M=100 is a 6 MB artifact but 26.5 MB of compiled kernels, so a
+// JIT-heavy fleet can hold several times its budget (counting that code
+// is the code-cache step of ROADMAP item 2). --filter=off disables the
+// cuckoo-filter front door that rejects unknown-model lookups without
+// touching a shard lock. Shutdown prints
 // `fleet`/`resident` summary lines with filter occupancy and eviction
 // counters, and each `health` line carries the entry's eviction tally.
 //
