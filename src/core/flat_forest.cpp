@@ -290,11 +290,11 @@ void FlatForestEngine::arena_kernel(const FlatForestEngine& self,
   const double* entropy = self.leaf_entropy_.data();
 
   // Tree-major: each tree's nodes stay hot while the whole tile reuses
-  // them. Trees run in ascending member order and lanes are rows, so
-  // per-sample accumulation order matches stats_one and the reference
-  // path exactly. Masked-out fields get no accumulate: a prediction-only
-  // request runs the stump loop as one compare plus a single blend and
-  // add per row.
+  // them. Trees run in ascending member order and every row takes
+  // exactly one leaf per tree, so per-sample accumulation order matches
+  // stats_one and the reference path exactly. Masked-out fields get no
+  // accumulate: a prediction-only request runs the stump loop as one
+  // compare plus a single blend and add per row.
   for (std::size_t m = 0; m < self.roots_.size(); ++m) {
     if (self.is_stump_[m]) {
       const Stump stump = self.stumps_[m];
@@ -308,20 +308,49 @@ void FlatForestEngine::arena_kernel(const FlatForestEngine& self,
       }
       continue;
     }
+    // Deep tree: kWalkLanes lanes each walk one row, a step per lane per
+    // sweep, and prefetch the node (and, when entropy is demanded, the
+    // leaf-entropy slot) each will load next, so up to kWalkLanes arena
+    // misses are in flight instead of one. A lane that reaches its leaf
+    // accumulates it and takes the tile's next row; once the tile is
+    // exhausted, the last live lane moves into the finished one's slot.
     const std::int32_t root = self.roots_[m];
-    for (std::size_t r = 0; r < tile; ++r) {
-      std::int32_t i = root;
-      Node node = nodes[i];
-      while (node.feature >= 0) {
-        i = node.left +
-            !(xt[static_cast<std::size_t>(node.feature) * kTileRows + r] <=
-              node.threshold);
-        node = nodes[i];
+    std::int32_t at[kWalkLanes] = {};
+    std::uint32_t row[kWalkLanes] = {};
+    std::size_t live = std::min(tile, kWalkLanes);
+    for (std::size_t l = 0; l < live; ++l) {
+      at[l] = root;
+      row[l] = static_cast<std::uint32_t>(l);
+    }
+    std::size_t next_row = live;
+    while (live > 0) {
+      for (std::size_t l = 0; l < live;) {
+        const std::int32_t i = at[l];
+        const Node node = nodes[i];
+        const std::size_t r = row[l];
+        if (node.feature >= 0) {
+          const std::int32_t child =
+              node.left +
+              !(xt[static_cast<std::size_t>(node.feature) * kTileRows + r] <=
+                node.threshold);
+          __builtin_prefetch(nodes + child);
+          if constexpr (kNeedEntropy) __builtin_prefetch(entropy + child);
+          at[l++] = child;
+          continue;
+        }
+        const double p1 = node.threshold;
+        votes[r] += p1 > 0.5 ? 1.0 : 0.0;
+        if constexpr (kNeedPosterior) sum_p1[r] += p1;
+        if constexpr (kNeedEntropy) sum_entropy[r] += entropy[i];
+        if (next_row < tile) {  // refill: the lane starts the next row
+          at[l] = root;
+          row[l++] = static_cast<std::uint32_t>(next_row++);
+        } else {  // retire: the last live lane takes this slot
+          --live;
+          at[l] = at[live];
+          row[l] = row[live];
+        }
       }
-      const double p1 = node.threshold;
-      votes[r] += p1 > 0.5 ? 1.0 : 0.0;
-      if constexpr (kNeedPosterior) sum_p1[r] += p1;
-      if constexpr (kNeedEntropy) sum_entropy[r] += entropy[i];
     }
   }
 }

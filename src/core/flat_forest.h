@@ -24,9 +24,14 @@
 // well-separated data, where most members are decision stumps) are
 // compiled into a dedicated stump table evaluated as a branchless select —
 // one compare + two blends per row that the compiler vectorises across
-// rows. Lanes are rows, trees still run in ascending member order, so
-// per-sample accumulation order is untouched and results stay bit-
-// identical to the reference path.
+// rows. Deeper trees are walked kWalkLanes rows at a time: each lane
+// takes one step per sweep and prefetches the node it will load next,
+// so the misses of an arena larger than cache overlap instead of
+// serialising; a lane that reaches its leaf accumulates it and takes
+// the tile's next row. Lane state lives on the stack of each call.
+// Trees still run in ascending member order and every row takes exactly
+// one leaf per tree, so per-sample accumulation order is untouched and
+// results stay bit-identical to the reference path.
 // Tiles are distributed over a thread pool; each tile writes a disjoint
 // output range, so results are deterministic for any worker count.
 //
@@ -53,14 +58,16 @@
 // dense vote/posterior/entropy accumulators — so a backend is just a set
 // of four rows. The interpreted arena rows serve from the moment an
 // engine is constructed. When the tree JIT is available and the policy
-// accepts the forest (src/jit/jit.h), construction also queues a
-// background compile; once it seals, the native rows are installed with
-// one atomic store, and every later stats_batch call runs them. Each
-// call reads the installed program once, so a batch never mixes
-// backends, and the two are bit-identical (asserted by the JitParity and
-// JitConcurrency suites). kernel_backend() reports which rows are
-// installed; everything above stats_batch (score() lowering, the
-// StatsMask contract) is backend-blind.
+// accepts the forest (src/jit/jit.h; the default `auto` takes only deep
+// forests small enough that native code beats the interleaved walk),
+// construction also queues a background compile; once it seals, the
+// native rows are installed with one atomic store, and every later
+// stats_batch call runs them. Each call reads the installed program
+// once, so a batch never mixes backends, and the two are bit-identical
+// (asserted by the JitParity and JitConcurrency suites).
+// kernel_backend() reports which rows are installed; everything above
+// stats_batch (score() lowering, the StatsMask contract) is
+// backend-blind.
 
 #include <cstdint>
 #include <iosfwd>
@@ -219,7 +226,12 @@ class FlatForestEngine final : public InferenceEngine {
                                  double* votes, double* sum_p1,
                                  double* sum_entropy);
 
-  /// Interpreted rows: the arena/stump walk, templated on shape.
+  /// Rows a deep tree walks at once in arena_kernel: enough independent
+  /// node loads in flight to cover an out-of-cache arena's misses.
+  static constexpr std::size_t kWalkLanes = 16;
+
+  /// Interpreted rows: the stump loop and the interleaved deep-tree
+  /// walk, templated on shape.
   template <bool kNeedPosterior, bool kNeedEntropy>
   static void arena_kernel(const FlatForestEngine& self, const double* xt,
                            std::size_t tile, double* votes, double* sum_p1,
@@ -257,8 +269,9 @@ class FlatForestEngine final : public InferenceEngine {
   std::size_t n_stumps_ = 0;
 
   /// This engine's background compile; null when none was queued (JIT
-  /// unavailable, policy off, or declined by the kAuto heuristic). Owns
-  /// the native program once installed.
+  /// unavailable, policy off, arena over the generator's size cap, or
+  /// declined by the kAuto heuristic). Owns the native program once
+  /// installed.
   std::shared_ptr<jit::CompileJob> jit_job_;
   /// Expected input width; every node's feature index is < this (checked
   /// at load, so a corrupt artifact can never drive out-of-bounds reads).

@@ -42,8 +42,29 @@ void set_policy(Policy p) {
   policy_flag().store(p, std::memory_order_relaxed);
 }
 
+namespace {
+
+/// The generator's size cap: past it a forest would emit tens of MB of
+/// code per shape, so no policy compiles it and compile_forest declines.
+constexpr std::size_t kMaxJitNodes = std::size_t{1} << 18;
+
+/// kAuto's size cap. The interpreter walks deep trees kWalkLanes rows at
+/// a time with the next node prefetched, so its arena misses overlap;
+/// native code emits ~110 bytes per node (four shapes) and falls out of
+/// cache instead. Per-row stats_batch, 64-row batches, HPC RF M=100,
+/// arena vs native (Xeon, avx512, one pinned CPU; medians of 3 runs,
+/// full mask):
+///     7,704 nodes   4.4 vs  3.5 us     24,856 nodes  5.3 vs  5.5 us
+///    11,780 nodes   4.7 vs  4.1 us     32,212 nodes  5.2 vs  6.3 us
+///    16,516 nodes   4.8 vs  4.9 us     64,828 nodes  6.0 vs 10.4 us
+///    19,926 nodes   4.9 vs  5.4 us    253,842 nodes  8.3 vs 26.6 us
+/// Native code wins up to ~16k nodes; past that it is a loss.
+constexpr std::size_t kAutoMaxNodes = std::size_t{1} << 14;
+
+}  // namespace
+
 bool should_compile(const core::FlatForestEngine& forest) {
-  if (!available()) return false;
+  if (!available() || forest.n_nodes() > kMaxJitNodes) return false;
   switch (policy()) {
     case Policy::kOff:
       return false;
@@ -52,16 +73,15 @@ bool should_compile(const core::FlatForestEngine& forest) {
     case Policy::kAuto:
       break;
   }
-  // Profitability: per row, a stump costs the interpreter ~1 vectorised
-  // compare+blend step, while a deep tree costs one dependent arena load
-  // per level — the case native compare/branch chains win (measured
-  // 1.4-1.7x). Compile only when deep-tree node work dwarfs the stump
-  // count; a stump-table forest stays on the interpreter's SIMD loop.
+  // Profitability: a stump costs the interpreter ~1 vectorised
+  // compare+blend step per row, which scalar native code cannot outrun,
+  // so deep-tree node work must dwarf the stump count; and the arena must
+  // be small enough that native code still beats the interleaved walk.
   const std::size_t stump_trees = forest.n_stumps();
   const std::size_t stump_nodes = stump_trees * 3;  // upper bound
   const std::size_t deep_nodes =
       forest.n_nodes() > stump_nodes ? forest.n_nodes() - stump_nodes : 0;
-  return deep_nodes >= 64 * stump_trees;
+  return deep_nodes >= 64 * stump_trees && forest.n_nodes() <= kAutoMaxNodes;
 }
 
 #if HMD_JIT_SUPPORTED
@@ -71,10 +91,7 @@ namespace {
 using core::FlatForestEngine;
 using Node = FlatForestEngine::Node;
 
-/// Generator limits. Arenas past the size cap would emit tens of MB of
-/// code per shape — interpret those instead. The displacement cap keeps
-/// feature-column offsets inside a disp32.
-constexpr std::size_t kMaxJitNodes = std::size_t{1} << 18;
+/// The displacement cap keeps feature-column offsets inside a disp32.
 constexpr std::int64_t kMaxDisp = 0x7FFFFFFF;
 
 struct TreeCompiler {

@@ -47,12 +47,19 @@
 //                 tools' --jit flag / set_policy()): kOff never
 //                 compiles, kOn always does, and the default kAuto
 //                 compiles only forests the generator predicts it can
-//                 beat the interpreter on — traversal-dominated (deep)
-//                 forests. Stump-dominated ensembles stay interpreted:
-//                 the compiler auto-vectorises the interpreter's stump
-//                 loop across rows (4-wide under AVX), which scalar
-//                 straight-line code cannot outrun, so compiling those
-//                 would be a regression, not an optimisation.
+//                 beat the interpreter on: deep-tree dominated, and
+//                 small. Stump-dominated ensembles stay interpreted,
+//                 because the compiler auto-vectorises the
+//                 interpreter's stump loop across rows and scalar
+//                 straight-line code cannot outrun it. Large deep
+//                 forests stay interpreted too: the interpreter walks
+//                 deep trees several rows at a time with prefetched
+//                 node loads, which hides the misses of an arena
+//                 larger than cache, while native code (~110 bytes per
+//                 node) falls out of cache itself. Past ~16k nodes
+//                 compiling is a regression (the crossover table sits
+//                 next to should_compile). No policy compiles an arena
+//                 past the generator's size cap (2^18 nodes), and
 //                 compile_forest() also declines absurd inputs (feature
 //                 displacement overflow, oversized arenas) so callers
 //                 fall back to the interpreted arena with zero behavior
@@ -62,8 +69,9 @@
 // builds it. FlatForestEngine serves its interpreted arena kernels from
 // the moment it is constructed and, when should_compile() accepts the
 // forest, queues it with compile_in_background(). One worker thread per
-// process, started by the first job (so stump forests, kOff and
-// -DHMD_NO_JIT builds never spawn it), compiles the queue in FIFO order
+// process, started by the first job (so a process whose forests all
+// stay interpreted, under kOff, -DHMD_NO_JIT, or kAuto with only stump
+// or large forests, never spawns it), compiles the queue in FIFO order
 // and publishes each sealed ForestProgram with one release store; the
 // engine reads that pointer once per stats_batch call, so a batch runs
 // wholly on one backend. Both backends are bit-identical, so the switch
@@ -103,7 +111,7 @@ bool available();
 
 /// When to compile a loaded forest to native code.
 enum class Policy {
-  kAuto,  ///< compile when predicted profitable (deep forests) — default
+  kAuto,  ///< compile when predicted profitable (small deep forests) — default
   kOn,    ///< compile every eligible forest (bench/parity forcing)
   kOff,   ///< never compile; interpreted arena everywhere
 };
@@ -117,10 +125,12 @@ Policy policy();
 void set_policy(Policy p);
 
 /// Should this forest be compiled under the current policy? False
-/// whenever !available(). Under kAuto this is the profitability
+/// whenever !available() or the arena exceeds the generator's size cap,
+/// whatever the policy. Under kAuto this is the profitability
 /// heuristic: compile only when per-row work is dominated by deep-tree
 /// traversal (the interpreter already vectorises stump-table forests
-/// better than scalar native code can).
+/// better than scalar native code can) and the arena is small enough
+/// that native code still beats the interpreter's interleaved walk.
 bool should_compile(const core::FlatForestEngine& forest);
 
 /// Native batch kernels for one forest. Index a kernel by StatsMask

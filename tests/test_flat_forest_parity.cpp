@@ -2,7 +2,9 @@
 // batched, stump-specialised and general trees alike) must be bit-identical
 // to the reference pointer-tree path — predictions, vote counts, summed
 // probabilities, and every entropy — across both dataset bundles and
-// ensemble sizes M in {1, 5, 100}.
+// ensemble sizes M in {1, 5, 100}. The batched deep-tree walk, which
+// steps several rows at once, must also equal the per-sample walk at
+// every batch length around its lane count and the tile length.
 //
 // The JitParity suite extends the contract one layer down: the same
 // artifact loaded with the tree-to-native JIT forced on and forced off
@@ -21,10 +23,12 @@
 #include <filesystem>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/score.h"
+#include "common/binary_io.h"
 #include "core/flat_forest.h"
 #include "core/hmd.h"
 #include "core/model_artifact.h"
@@ -273,35 +277,118 @@ TEST(JitParity, HpcAllEnsembleSizesAllMasks) {
   }
 }
 
+/// The randomised deep-tree recipe. Random labels force deep, irregular
+/// trees (no stump specialisation), and every third input row carries
+/// two NaN features.
+constexpr std::size_t kRandomCols = 12;
+
+double random_feature(std::mt19937_64& rng) {
+  return std::uniform_real_distribution<double>(-4.0, 4.0)(rng);
+}
+
+core::TrustedHmd random_deep_forest(std::mt19937_64& rng) {
+  ml::Dataset train;
+  const std::size_t n = 240;
+  train.X = Matrix(n, kRandomCols);
+  train.y.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < kRandomCols; ++c)
+      train.X(r, c) = random_feature(rng);
+    train.y[r] = static_cast<int>(rng() & 1);
+  }
+  core::TrustedHmd hmd(config_for(20));
+  hmd.fit(train);
+  return hmd;
+}
+
+Matrix nan_poisoned_rows(std::size_t rows, std::mt19937_64& rng) {
+  Matrix x(rows, kRandomCols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < kRandomCols; ++c) x(r, c) = random_feature(rng);
+    if (r % 3 == 0) {  // poison a couple of features per third row
+      x(r, r % kRandomCols) = std::numeric_limits<double>::quiet_NaN();
+      x(r, (r + 5) % kRandomCols) = std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  return x;
+}
+
 TEST(JitParity, RandomisedDeepTreesWithNaNInputs) {
-  // Random labels force deep, irregular trees (no stump specialisation),
-  // and NaN-poisoned inputs pin the compare encodings: cmpsd(LE) and
+  // NaN-poisoned inputs pin the compare encodings: cmpsd(LE) and
   // ucomisd/jb must both send NaN right, exactly like the interpreter's
   // !(x <= t).
   std::mt19937_64 rng(20210721);
-  std::uniform_real_distribution<double> feature(-4.0, 4.0);
-  ml::Dataset train;
-  const std::size_t n = 240, cols = 12;
-  train.X = Matrix(n, cols);
-  train.y.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) train.X(r, c) = feature(rng);
-    train.y[r] = static_cast<int>(rng() & 1);
-  }
-  core::HmdConfig config = config_for(20);
-  core::TrustedHmd hmd(config);
-  hmd.fit(train);
+  const core::TrustedHmd hmd = random_deep_forest(rng);
   EXPECT_LT(hmd.flat_forest().n_stumps(), hmd.flat_forest().n_trees());
+  expect_jit_parity(hmd, nan_poisoned_rows(64, rng), "random_deep_nan");
+}
 
-  Matrix x(64, cols);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    for (std::size_t c = 0; c < cols; ++c) x(r, c) = feature(rng);
-    if (r % 3 == 0) {  // poison a couple of features per third row
-      x(r, r % cols) = std::numeric_limits<double>::quiet_NaN();
-      x(r, (r + 5) % cols) = std::numeric_limits<double>::quiet_NaN();
+TEST(FlatForestParity, InterleavedWalkMatchesStatsOneAtEveryTileLength) {
+  // The deep-tree walk runs kWalkLanes rows at once and refills lanes
+  // from the tile, so row counts below, at and just past the lane count
+  // and the tile length each leave lanes and tile in a different phase.
+  // The forest is the randomised deep one with a stump and a single-leaf
+  // tree spliced between its members; every batch, under every StatsMask
+  // shape, must equal the single-row walk bit for bit.
+  const PolicyGuard guard;
+  jit::set_policy(jit::Policy::kOff);
+  std::mt19937_64 rng(20210721);
+  const core::TrustedHmd deep = random_deep_forest(rng);
+  const core::FlatForestEngine& trained = deep.flat_forest();
+  using Node = core::FlatForestEngine::Node;
+  std::vector<Node> nodes(trained.nodes_view().begin(),
+                          trained.nodes_view().end());
+  std::vector<double> entropy(trained.leaf_entropy_view().begin(),
+                              trained.leaf_entropy_view().end());
+  const auto base = static_cast<std::int32_t>(nodes.size());
+  const auto add_leaf = [&](double p1) {
+    nodes.push_back(Node{p1, -1, -1});
+    entropy.push_back(core::binary_entropy(p1));
+  };
+  nodes.push_back(Node{0.25, 3, base + 1});  // stump on feature 3
+  entropy.push_back(0.0);
+  add_leaf(0.9);
+  add_leaf(0.2);
+  add_leaf(0.7);  // single-leaf tree at base + 3
+  std::vector<std::int32_t> roots;
+  for (std::size_t m = 0; m < trained.n_trees(); ++m) {
+    roots.push_back(trained.roots_view()[m]);
+    if (m == 0) roots.push_back(base);
+    if (m == 1) roots.push_back(base + 3);
+  }
+  std::stringstream blob;
+  io::write_pod(blob, static_cast<std::uint64_t>(kRandomCols));
+  io::write_vec(blob, nodes);
+  io::write_vec(blob, entropy);
+  io::write_vec(blob, roots);
+  const auto forest = core::FlatForestEngine::load_blob(blob, "mixed forest");
+  EXPECT_EQ(forest->n_stumps(), trained.n_stumps() + 2);
+  EXPECT_LT(forest->n_stumps(), forest->n_trees());
+  EXPECT_EQ(forest->kernel_backend(), "stream-fallback");
+
+  const core::StatsMask shapes[] = {
+      core::kStatsVotes, core::kStatsVotes | core::kStatsPosterior,
+      core::kStatsVotes | core::kStatsEntropy, core::kStatsAll};
+  for (const std::size_t rows : {1, 2, 15, 16, 17, 100, 255, 256, 257, 513}) {
+    const Matrix x = nan_poisoned_rows(rows, rng);
+    std::vector<core::EnsembleStats> batch;
+    for (const core::StatsMask mask : shapes) {
+      SCOPED_TRACE("rows=" + std::to_string(rows) +
+                   " mask=" + std::to_string(mask));
+      forest->stats_batch(x, nullptr, batch, mask);
+      ASSERT_EQ(batch.size(), rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const core::EnsembleStats one = forest->stats_one(x.row(r));
+        EXPECT_EQ(batch[r].votes1, one.votes1) << "row " << r;
+        if (mask & core::kStatsPosterior) {
+          EXPECT_EQ(batch[r].sum_p1, one.sum_p1) << "row " << r;
+        }
+        if (mask & core::kStatsEntropy) {
+          EXPECT_EQ(batch[r].sum_entropy, one.sum_entropy) << "row " << r;
+        }
+      }
     }
   }
-  expect_jit_parity(hmd, x, "random_deep_nan");
 }
 
 TEST(FlatForestParity, EveryModelKindReportsAFlatEngineTruthfully) {

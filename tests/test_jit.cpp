@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -28,6 +29,7 @@
 
 #include "api/detector_registry.h"
 #include "api/score.h"
+#include "common/binary_io.h"
 #include "common/failpoint.h"
 #include "core/flat_forest.h"
 #include "core/hmd.h"
@@ -61,6 +63,20 @@ core::HmdConfig rf_config(int members) {
   config.n_members = members;
   config.seed = 42;
   return config;
+}
+
+/// HPC rows enough for a deep RF M=100 of ~62k nodes: past kAuto's size
+/// cap, under the generator's.
+const data::DatasetBundle& hpc_2000() {
+  static const data::DatasetBundle bundle = [] {
+    data::HpcDatasetConfig config;
+    config.seed = 13;
+    config.n_train = 2000;
+    config.n_test = 10;
+    config.n_unknown = 10;
+    return data::build_hpc_dataset(config);
+  }();
+  return bundle;
 }
 
 #if HMD_JIT_SUPPORTED
@@ -215,16 +231,8 @@ TEST(JitMemory, CompilePeakTracksCodeSize) {
   if (kSanitized) GTEST_SKIP() << "sanitizer shadow memory skews RSS";
   const PolicyGuard guard;
   jit::set_policy(jit::Policy::kOff);  // no background compile to race
-  const data::DatasetBundle bundle = [] {
-    data::HpcDatasetConfig config;
-    config.seed = 13;
-    config.n_train = 2000;
-    config.n_test = 10;
-    config.n_unknown = 10;
-    return data::build_hpc_dataset(config);
-  }();
   core::TrustedHmd hmd(rf_config(100));
-  hmd.fit(bundle.train);
+  hmd.fit(hpc_2000().train);
   const auto before = hwm_and_rss_kb();
   if (!before) GTEST_SKIP() << "/proc/self/status unreadable";
   const auto program = jit::compile_forest(hmd.flat_forest());
@@ -262,10 +270,20 @@ TEST(JitPolicy, AutoDeclinesStumpForestsAndTakesDeepOnes) {
   stumpy.fit(test::small_dvfs().train);  // well-separated: mostly stumps
   core::TrustedHmd deep(rf_config(100));
   deep.fit(test::small_hpc().train);  // overlapping classes: deep trees
+  // Deep and large (~62k nodes, well past kAuto's 2^14-node cap): the
+  // interleaved arena walk beats native code here.
+  core::TrustedHmd large(rf_config(100));
+  large.fit(hpc_2000().train);
+  EXPECT_GT(large.flat_forest().n_nodes(), std::size_t{1} << 15);
+  EXPECT_EQ(large.flat_forest().n_stumps(), 0u);
   EXPECT_FALSE(jit::should_compile(stumpy.flat_forest()));
+  EXPECT_FALSE(jit::should_compile(large.flat_forest()));
   stumpy.flat_forest().wait_for_jit();
   deep.flat_forest().wait_for_jit();
+  large.flat_forest().wait_for_jit();
   EXPECT_EQ(stumpy.flat_forest().jit_code_bytes(), 0u);
+  EXPECT_EQ(large.engine().kernel_backend(), "stream-fallback");
+  EXPECT_EQ(large.flat_forest().jit_code_bytes(), 0u);
   if (jit::available()) {
     EXPECT_TRUE(jit::should_compile(deep.flat_forest()));
     EXPECT_EQ(deep.engine().kernel_backend(), "jit");
@@ -276,6 +294,31 @@ TEST(JitPolicy, AutoDeclinesStumpForestsAndTakesDeepOnes) {
   EXPECT_FALSE(jit::should_compile(deep.flat_forest()));
   jit::set_policy(jit::Policy::kOn);
   EXPECT_EQ(jit::should_compile(stumpy.flat_forest()), jit::available());
+  EXPECT_EQ(jit::should_compile(large.flat_forest()), jit::available());
+}
+
+TEST(JitPolicy, GeneratorCapDeclinesUnderEveryPolicy) {
+  // An arena past the generator's 2^18-node cap is never compiled, not
+  // even under kOn: no job is queued, so no worker starts for a compile
+  // that compile_forest would decline.
+  const PolicyGuard guard;
+  jit::set_policy(jit::Policy::kOn);
+  const std::size_t slots = (std::size_t{1} << 18) + 1;
+  std::stringstream blob;
+  io::write_pod(blob, std::uint64_t{1});  // feature width
+  io::write_vec(blob, std::vector<core::FlatForestEngine::Node>(slots));
+  io::write_vec(blob, std::vector<double>(slots, 0.0));
+  io::write_vec(blob, std::vector<std::int32_t>{0});
+  const auto forest = core::FlatForestEngine::load_blob(blob, "capped");
+  ASSERT_EQ(forest->n_nodes(), slots);
+  for (const auto p :
+       {jit::Policy::kOn, jit::Policy::kAuto, jit::Policy::kOff}) {
+    jit::set_policy(p);
+    EXPECT_FALSE(jit::should_compile(*forest));
+  }
+  forest->wait_for_jit();  // returns at once: no job was queued
+  EXPECT_EQ(forest->kernel_backend(), "stream-fallback");
+  EXPECT_EQ(forest->jit_code_bytes(), 0u);
 }
 
 TEST(JitPolicy, OffPinsTheInterpretedArena) {
