@@ -35,7 +35,8 @@ ScoreServer::ScoreServer(api::DetectorRegistry& registry,
                                 result, item.row_begin, item.rows,
                                 item.accuracy);
             ++stats_.results_out;
-            flush_out(c);
+            --c.in_flight;
+            c.dirty = true;
           },
           [this](const BatchItem& item, wire::ErrorCode code,
                  const std::string& detail) {
@@ -44,7 +45,8 @@ ScoreServer::ScoreServer(api::DetectorRegistry& registry,
             Connection& c = *it->second;
             wire::append_error(c.out, item.request_id, code, detail);
             ++stats_.errors_out;
-            flush_out(c);
+            --c.in_flight;
+            c.dirty = true;
           }) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                         0);
@@ -132,19 +134,30 @@ void ScoreServer::run() {
       batcher_.flush_all();
     }
     batcher_.flush_due(MicroBatcher::Clock::now());
-
-    // Reap connections closed mid-dispatch.
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if (it->second->dead) {
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    send_dirty_and_reap();
   }
   batcher_.flush_all();  // answer whatever is still queued before exit
+  send_dirty_and_reap();
   loop_.remove(listen_fd_);
   loop_.remove(stop_fd_);
+}
+
+void ScoreServer::send_dirty_and_reap() {
+  // The wave's one send per connection: every answer the wave appended
+  // leaves in one send(); a connection closed mid-dispatch, or closed by
+  // this send, is reaped here.
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    Connection& c = *it->second;
+    if (c.dirty) {
+      c.dirty = false;
+      flush_out(c);
+    }
+    if (c.dead) {
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 void ScoreServer::handle_accept() {
@@ -161,10 +174,11 @@ void ScoreServer::handle_accept() {
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
+    conn->events = EPOLLIN;
     conns_[conn->id] = conn;
     ++stats_.connections_accepted;
     const std::uint64_t id = conn->id;
-    loop_.add(fd, EPOLLIN,
+    loop_.add(fd, conn->events,
               [this, id](std::uint32_t events) { handle_conn(id, events); });
   }
 }
@@ -178,7 +192,7 @@ void ScoreServer::handle_conn(std::uint64_t id, std::uint32_t events) {
     close_conn(*conn);
     return;
   }
-  if (events & EPOLLIN) {
+  if ((events & EPOLLIN) && !conn->closing) {
     read_conn(*conn);
     if (conn->dead) return;
   }
@@ -186,30 +200,41 @@ void ScoreServer::handle_conn(std::uint64_t id, std::uint32_t events) {
 }
 
 void ScoreServer::read_conn(Connection& c) {
+  // At most kReadBudget bytes per wave; epoll is level-triggered, so the
+  // rest is reported next wave. A peer writing as fast as the loop reads
+  // cannot keep it here, and a fatal frame is parsed (and reading
+  // stopped) before more than the budget piles up behind it.
+  constexpr std::size_t kReadBudget = 1u << 20;
   unsigned char buf[64 * 1024];
-  bool got_bytes = false;
-  while (true) {
+  std::size_t got = 0;
+  bool peer_done = false;
+  while (got < kReadBudget) {
     const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
     if (n > 0) {
       c.in.insert(c.in.end(), buf, buf + n);
       stats_.bytes_in += static_cast<std::uint64_t>(n);
-      got_bytes = true;
+      got += static_cast<std::size_t>(n);
       continue;
     }
-    if (n == 0) {  // orderly remote close
-      close_conn(c);
-      return;
+    if (n == 0) {  // orderly EOF: answer what came before it, then close
+      peer_done = true;
+      break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     close_conn(c);
     return;
   }
-  if (got_bytes) parse_frames(c);
+  if (got > 0) parse_frames(c);
+  if (peer_done) {
+    c.closing = true;
+    c.dirty = true;
+  }
 }
 
 void ScoreServer::parse_frames(Connection& c) {
-  while (!c.dead && !c.closing) {
+  c.dirty = true;
+  while (!c.closing) {
     const unsigned char* p = c.in.data() + c.parsed;
     const std::size_t avail = c.in.size() - c.parsed;
     wire::Frame frame;
@@ -218,12 +243,16 @@ void ScoreServer::parse_frames(Connection& c) {
       consumed = wire::parse_frame(p, avail, options_.max_frame_bytes,
                                    frame);
     } catch (const wire::WireError& e) {
-      wire::append_error(c.out, e.request_id(), e.code(), e.detail());
-      ++stats_.errors_out;
       if (e.fatal()) {
-        c.closing = true;  // stream poisoned: error out, then close
+        // Stream poisoned: answer the requests queued before the bad
+        // frame, then this error, then close.
+        wire::append_error(c.farewell, e.request_id(), e.code(), e.detail());
+        ++stats_.errors_out;
+        c.closing = true;
         break;
       }
+      wire::append_error(c.out, e.request_id(), e.code(), e.detail());
+      ++stats_.errors_out;
       // Survivable: the declared frame is fully buffered — skip it.
       std::uint32_t payload = 0;
       std::memcpy(&payload, p + 12, sizeof(payload));
@@ -253,7 +282,6 @@ void ScoreServer::parse_frames(Connection& c) {
                c.in.begin() + static_cast<std::ptrdiff_t>(c.parsed));
     c.parsed = 0;
   }
-  if (!c.dead) flush_out(c);
 }
 
 void ScoreServer::on_request(Connection& c, const wire::RequestView& req) {
@@ -263,7 +291,9 @@ void ScoreServer::on_request(Connection& c, const wire::RequestView& req) {
   } else {
     ++stats_.requests_exact;
   }
-  // May flush (and answer other connections) synchronously.
+  ++c.in_flight;
+  // May flush, appending answers for this and other connections; they
+  // are sent at the end of the wave.
   batcher_.enqueue(c.id, req.request_id, req.model_key, req.outputs,
                    req.mode, req.features, req.rows, req.cols,
                    req.accuracy);
@@ -271,6 +301,11 @@ void ScoreServer::on_request(Connection& c, const wire::RequestView& req) {
 
 void ScoreServer::flush_out(Connection& c) {
   if (c.dead) return;
+  const bool last_answer_queued = c.closing && c.in_flight == 0;
+  if (last_answer_queued && !c.farewell.empty()) {
+    c.out.insert(c.out.end(), c.farewell.begin(), c.farewell.end());
+    c.farewell.clear();
+  }
   while (c.out_sent < c.out.size()) {
     const ssize_t n =
         ::send(c.fd, c.out.data() + c.out_sent, c.out.size() - c.out_sent,
@@ -278,6 +313,7 @@ void ScoreServer::flush_out(Connection& c) {
     if (n > 0) {
       c.out_sent += static_cast<std::size_t>(n);
       stats_.bytes_out += static_cast<std::uint64_t>(n);
+      ++stats_.sends;
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -285,10 +321,8 @@ void ScoreServer::flush_out(Connection& c) {
         close_conn(c);  // slow reader: drop rather than buffer unbounded
         return;
       }
-      if (!c.want_write) {
-        c.want_write = true;
-        loop_.modify(c.fd, EPOLLIN | EPOLLOUT);
-      }
+      c.want_write = true;
+      watch(c);
       return;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -297,11 +331,22 @@ void ScoreServer::flush_out(Connection& c) {
   }
   c.out.clear();
   c.out_sent = 0;
-  if (c.want_write) {
-    c.want_write = false;
-    loop_.modify(c.fd, EPOLLIN);
+  if (last_answer_queued) {
+    close_conn(c);
+    return;
   }
-  if (c.closing) close_conn(c);
+  c.want_write = false;
+  watch(c);
+}
+
+void ScoreServer::watch(Connection& c) {
+  // A closing connection reads nothing more (its input is finished or
+  // poisoned), so its buffered input stays bounded by the socket's.
+  const std::uint32_t events = (c.closing ? 0u : std::uint32_t{EPOLLIN}) |
+                               (c.want_write ? std::uint32_t{EPOLLOUT} : 0u);
+  if (events == c.events) return;
+  c.events = events;
+  loop_.modify(c.fd, events);
 }
 
 void ScoreServer::close_conn(Connection& c) {

@@ -5,16 +5,31 @@
 // DetectorRegistry + score() spine, and scattering results back per
 // connection. Registry refresh() — the hot-swap poll — rides a timerfd
 // inside the same loop, so artifact swaps land on wall-clock cadence
-// regardless of traffic. A swap stalls the loop only for the artifact's
-// map, verify and parse: a JIT-eligible forest compiles on the
-// background JIT worker while its arena kernels already answer.
+// regardless of traffic. A swap stalls the loop for the artifact's map,
+// verify and parse (a JIT-eligible forest compiles on the background JIT
+// worker while its arena kernels already answer), and for dropping the
+// old snapshot: when the old engine's compile is still running, that
+// drop waits for the worker to unwind it (3.0-3.6 ms on one pinned CPU).
 //
 // run() owns the calling thread until request_stop(), which is safe from
 // other threads and from signal handlers (an eventfd wakes the loop).
-// Connections are plain blocking-free sockets with per-connection read
-// and write buffers; a response that does not fit in the socket buffer
-// turns on EPOLLOUT backpressure, and a connection whose unsent backlog
-// exceeds max_write_backlog is dropped (slow reader).
+//
+// The write path sends each connection at most once per wave. A wave is
+// one pass of run()'s loop: one poll_once() dispatch round, then the
+// batch flushes that follow it. Parsing and the batcher's sinks only
+// append answer frames to the connection's write buffer and mark it
+// dirty; at the end of the wave run() calls send() once for each dirty
+// connection, so the answers to a whole pipelined window share one
+// syscall. A response that does not fit in the socket buffer turns on
+// EPOLLOUT backpressure, and a connection whose unsent backlog exceeds
+// max_write_backlog is dropped (slow reader).
+//
+// Each wave reads at most 1 MiB from a connection (the rest waits in the
+// socket for the next wave). A connection stops reading once it is
+// closing: after a fatal wire error, or after the peer's orderly EOF
+// (shutdown(SHUT_WR)). Every request parsed before that point is still
+// answered; a fatal error's frame follows those answers, and the
+// connection closes once they have all been sent.
 
 #include <atomic>
 #include <cstdint>
@@ -54,6 +69,9 @@ struct ServerStats {
   std::uint64_t errors_out = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
+  /// send() calls that moved bytes; at most one per connection per wave
+  /// unless the socket buffer fills.
+  std::uint64_t sends = 0;
   std::uint64_t refreshes = 0;
   std::uint64_t models_reloaded = 0;
 };
@@ -95,12 +113,21 @@ class ScoreServer {
     int fd = -1;
     std::uint64_t id = 0;
     bool dead = false;
-    bool closing = false;  ///< fatal wire error: close once out drains
+    /// Fatal wire error or peer EOF: read no more, close once every
+    /// in-flight answer (and the farewell frame) has been sent.
+    bool closing = false;
     bool want_write = false;
+    bool dirty = false;  ///< out gained bytes this wave; run() sends it
+    std::uint32_t events = 0;  ///< epoll interest currently registered
+    /// Requests queued in the batcher and not yet answered.
+    std::uint32_t in_flight = 0;
     std::vector<unsigned char> in;
     std::size_t parsed = 0;
     std::vector<unsigned char> out;
     std::size_t out_sent = 0;
+    /// A fatal error's frame, held back until the requests queued before
+    /// the bad frame are answered.
+    std::vector<unsigned char> farewell;
   };
 
   void handle_accept();
@@ -109,6 +136,8 @@ class ScoreServer {
   void parse_frames(Connection& c);
   void on_request(Connection& c, const wire::RequestView& request);
   void flush_out(Connection& c);
+  void watch(Connection& c);
+  void send_dirty_and_reap();
   void close_conn(Connection& c);
   void on_refresh_tick();
 

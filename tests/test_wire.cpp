@@ -1,16 +1,21 @@
 // The HMDW wire protocol (serve/wire.h): encode/parse round-trips for
 // every OutputMask combination, the malformed-frame rejection sweep with
-// its fatal/survivable split, and over-the-socket checks that a
-// survivable error frame leaves the connection serving and that answers
-// to two keys pipelined on one connection match their requests by id.
+// its fatal/survivable split, and over-the-socket checks: a survivable
+// error frame leaves the connection serving, answers to two keys
+// pipelined on one connection match their requests by id, pipelined
+// answers share send() calls, and a closing connection (fatal frame or
+// peer EOF) answers what came before it, then reads nothing more.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -337,6 +342,36 @@ TEST(WireTest, LoadErrorTaxonomyMapsIntoWireCodes) {
 }
 
 // ---------------------------------------------------------------------------
+/// Every column of `got`'s rows [0, n) bit-identical to `want`'s rows
+/// [want_row, want_row + n); unselected columns must be empty in both.
+void expect_rows_identical(const api::ScoreResult& got,
+                           const api::ScoreResult& want, std::size_t want_row,
+                           std::size_t n, const std::string& what) {
+  const auto same = [&](const auto& a, const auto& b, const char* name) {
+    if (b.empty()) {
+      EXPECT_TRUE(a.empty()) << what << " column " << name;
+      return;
+    }
+    ASSERT_EQ(a.size(), n) << what << " column " << name;
+    ASSERT_LE(want_row + n, b.size()) << what << " column " << name;
+    EXPECT_EQ(std::memcmp(a.data(), b.data() + want_row, n * sizeof(a[0])),
+              0)
+        << what << " column " << name;
+  };
+  same(got.prediction, want.prediction, "prediction");
+  same(got.confidence, want.confidence, "confidence");
+  same(got.votes, want.votes, "votes");
+  same(got.vote_entropy, want.vote_entropy, "vote_entropy");
+  same(got.soft_entropy, want.soft_entropy, "soft_entropy");
+  same(got.expected_entropy, want.expected_entropy, "expected_entropy");
+  same(got.mutual_information, want.mutual_information,
+       "mutual_information");
+  same(got.variation_ratio, want.variation_ratio, "variation_ratio");
+  same(got.max_probability, want.max_probability, "max_probability");
+  same(got.score, want.score, "score");
+  same(got.trusted, want.trusted, "trusted");
+}
+
 // Over a real socket: a survivable error answers with a typed error frame
 // and the same connection then serves a valid request; a fatal error
 // answers and closes.
@@ -367,16 +402,27 @@ class WireSocketTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    server_->request_stop();
-    thread_.join();
+    stop_server();
     server_.reset();
     registry_.reset();
     std::filesystem::remove_all(dir_);
   }
 
-  int connect_client() {
+  /// Stop run() and join it; the server's stats are then safe to read.
+  void stop_server() {
+    if (!thread_.joinable()) return;
+    server_->request_stop();
+    thread_.join();
+  }
+
+  /// `rcvbuf` > 0 pins the client's receive buffer (set before connect,
+  /// so the window is sized from it).
+  int connect_client(int rcvbuf = 0) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
+    if (rcvbuf > 0) {
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(server_->port());
@@ -419,6 +465,16 @@ class WireSocketTest : public ::testing::Test {
                                        64u << 20, frame),
               storage.size());
     return frame;
+  }
+
+  /// Direct score() of the fixture model on all of `x` — the oracle.
+  api::ScoreResult direct_score(const Matrix& x, api::OutputMask outputs) {
+    api::ScoreRequest direct;
+    direct.x = &x;
+    direct.outputs = outputs;
+    api::ScoreResult want;
+    hmd_->score(direct, want);
+    return want;
   }
 
   std::filesystem::path dir_;
@@ -634,24 +690,8 @@ TEST_F(WireSocketTest, TwoKeysPipelinedAnswersMatchByRequestId) {
     model_of(i).score(direct, want);
 
     ASSERT_EQ(got.rows, kRows) << "request " << i;
-    const auto same = [&](const auto& a, const auto& b, const char* name) {
-      ASSERT_EQ(a.size(), b.size()) << name;
-      if (a.empty()) return;
-      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])), 0)
-          << "request " << i << " column " << name;
-    };
-    same(got.prediction, want.prediction, "prediction");
-    same(got.confidence, want.confidence, "confidence");
-    same(got.votes, want.votes, "votes");
-    same(got.vote_entropy, want.vote_entropy, "vote_entropy");
-    same(got.soft_entropy, want.soft_entropy, "soft_entropy");
-    same(got.expected_entropy, want.expected_entropy, "expected_entropy");
-    same(got.mutual_information, want.mutual_information,
-         "mutual_information");
-    same(got.variation_ratio, want.variation_ratio, "variation_ratio");
-    same(got.max_probability, want.max_probability, "max_probability");
-    same(got.score, want.score, "score");
-    same(got.trusted, want.trusted, "trusted");
+    expect_rows_identical(got, want, 0, kRows,
+                          "request " + std::to_string(i));
   }
   ::close(fd);
 }
@@ -669,6 +709,191 @@ TEST_F(WireSocketTest, FatalErrorAnswersThenCloses) {
   unsigned char byte = 0;
   EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
   ::close(fd);
+}
+
+// 3 connections each pipeline 48 requests for one key in one write. The
+// answers to a wave's requests leave in one send() per connection, so
+// there are fewer sends than results; each connection still gets every
+// answer exactly once, in request order (one batcher queue), and
+// bit-identical to a direct score().
+TEST_F(WireSocketTest, PipelinedAnswersShareSends) {
+  const Matrix& x = test::small_dvfs().test.X;
+  constexpr int kConns = 3;
+  constexpr std::uint32_t kRequests = 48;
+  const api::ScoreResult want = direct_score(x, api::kEstimateOutputs);
+  const auto row_of = [&](int k, std::uint32_t i) {
+    return (static_cast<std::size_t>(k) * 7 + i) % x.rows();
+  };
+
+  std::vector<int> fds;
+  for (int k = 0; k < kConns; ++k) {
+    fds.push_back(connect_client());
+    std::vector<unsigned char> bytes;
+    for (std::uint32_t i = 0; i < kRequests; ++i) {
+      serve::wire::append_request(bytes, i, "m", api::kEstimateOutputs,
+                                  std::nullopt, x.row_ptr(row_of(k, i)), 1,
+                                  x.cols());
+    }
+    send_all(fds.back(), bytes);
+  }
+  std::vector<unsigned char> storage;
+  for (int k = 0; k < kConns; ++k) {
+    for (std::uint32_t i = 0; i < kRequests; ++i) {
+      const Frame frame = read_frame(fds[k], storage);
+      ASSERT_EQ(frame.type, FrameType::kScoreResult);
+      ASSERT_EQ(frame.result.request_id, i) << "connection " << k;
+      api::ScoreResult got;
+      serve::wire::unpack_result(frame.result, got);
+      expect_rows_identical(got, want, row_of(k, i), 1,
+                            "connection " + std::to_string(k) +
+                                " request " + std::to_string(i));
+    }
+  }
+  for (const int fd : fds) ::close(fd);
+
+  stop_server();
+  const serve::ServerStats& stats = server_->stats();
+  EXPECT_EQ(stats.results_out, std::uint64_t{kConns} * kRequests);
+  EXPECT_GT(stats.sends, 0u);
+  EXPECT_LT(stats.sends, stats.results_out);
+}
+
+// A bad-magic header behind valid requests in the same write: the valid
+// requests are answered first, then the fatal error frame, then the
+// connection closes.
+TEST_F(WireSocketTest, FatalFrameBehindValidRequestsAnswersThemFirst) {
+  const Matrix& x = test::small_dvfs().test.X;
+  constexpr std::uint32_t kRequests = 8;
+  const api::ScoreResult want = direct_score(x, api::kDetectionOutputs);
+  const int fd = connect_client();
+  std::vector<unsigned char> bytes;
+  for (std::uint32_t i = 0; i < kRequests; ++i) {
+    serve::wire::append_request(bytes, 50 + i, "m", api::kDetectionOutputs,
+                                std::nullopt, x.row_ptr(i), 1, x.cols());
+  }
+  const std::size_t bad = bytes.size();
+  bytes.resize(bad + serve::wire::kHeaderBytes, 0);
+  std::memcpy(bytes.data() + bad, "NOPE", 4);
+  send_all(fd, bytes);
+
+  std::vector<unsigned char> storage;
+  for (std::uint32_t i = 0; i < kRequests; ++i) {
+    const Frame frame = read_frame(fd, storage);
+    ASSERT_EQ(frame.type, FrameType::kScoreResult) << "answer " << i;
+    EXPECT_EQ(frame.result.request_id, 50 + i);
+    api::ScoreResult got;
+    serve::wire::unpack_result(frame.result, got);
+    expect_rows_identical(got, want, i, 1, "request " + std::to_string(i));
+  }
+  const Frame frame = read_frame(fd, storage);
+  ASSERT_EQ(frame.type, FrameType::kError);
+  EXPECT_EQ(frame.error.code, ErrorCode::kBadMagic);
+  unsigned char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
+}
+
+// A client that writes its requests and then half-closes (FIN) still
+// gets every answer, then an orderly close.
+TEST_F(WireSocketTest, RequestsBeforePeerShutdownAreAnswered) {
+  const Matrix& x = test::small_dvfs().test.X;
+  constexpr std::uint32_t kRequests = 12;
+  constexpr std::size_t kRows = 2;
+  ASSERT_GE(x.rows(), kRequests * kRows);
+  const api::ScoreResult want = direct_score(x, api::kEstimateOutputs);
+  const int fd = connect_client();
+  std::vector<unsigned char> bytes;
+  for (std::uint32_t i = 0; i < kRequests; ++i) {
+    serve::wire::append_request(bytes, 70 + i, "m", api::kEstimateOutputs,
+                                std::nullopt, x.row_ptr(i * kRows), kRows,
+                                x.cols());
+  }
+  send_all(fd, bytes);
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+  std::vector<unsigned char> storage;
+  for (std::uint32_t i = 0; i < kRequests; ++i) {
+    const Frame frame = read_frame(fd, storage);
+    ASSERT_EQ(frame.type, FrameType::kScoreResult) << "answer " << i;
+    EXPECT_EQ(frame.result.request_id, 70 + i);
+    api::ScoreResult got;
+    serve::wire::unpack_result(frame.result, got);
+    expect_rows_identical(got, want, i * kRows, kRows,
+                          "request " + std::to_string(i));
+  }
+  unsigned char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
+}
+
+// Once a connection is closing it reads nothing more, so a peer that
+// keeps writing after a fatal frame cannot grow the server's input
+// buffer: its sends block once the socket buffers fill. The client
+// pipelines ~12 MB of answers without reading (several times the
+// default 4 MB tcp_wmem cap on the server's send buffer), so the answers
+// back up in the server; then a bad-magic header; then junk.
+TEST_F(WireSocketTest, ClosingConnectionReadsNothingMore) {
+  const Matrix& x = test::small_dvfs().test.X;
+  constexpr std::size_t kRows = 64;
+  Matrix tile(kRows, x.cols());
+  for (std::size_t r = 0; r < kRows; ++r) {
+    std::memcpy(tile.row_ptr(r), x.row_ptr(r % x.rows()),
+                x.cols() * sizeof(double));
+  }
+  std::vector<unsigned char> answer;
+  serve::wire::append_result(answer, 0, api::kEstimateOutputs,
+                             filled_result(kRows), 0, kRows,
+                             core::Accuracy::kExact);
+  const std::size_t requests = (12u << 20) / answer.size() + 1;
+
+  const int fd = connect_client(16 << 10);
+  std::vector<unsigned char> bytes;
+  for (std::size_t i = 0; i < requests; ++i) {
+    serve::wire::append_request(bytes, static_cast<std::uint32_t>(i), "m",
+                                api::kEstimateOutputs, std::nullopt,
+                                tile.row_ptr(0), kRows, x.cols());
+  }
+  const std::size_t bad = bytes.size();
+  bytes.resize(bad + serve::wire::kHeaderBytes, 0);
+  std::memcpy(bytes.data() + bad, "NOPE", 4);
+  send_all(fd, bytes);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const std::vector<unsigned char> junk(64u << 10, 0xAB);
+  constexpr std::size_t kLimit = 64u << 20;
+  std::size_t written = 0;
+  bool blocked = false;
+  while (written < kLimit) {
+    const ssize_t n = ::send(fd, junk.data(), junk.size(),
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      written += static_cast<std::size_t>(n);
+      continue;
+    }
+    ASSERT_TRUE(n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+        << "send failed: " << std::strerror(errno);
+    // Blocked for good only if no buffer space frees up within 1 s.
+    pollfd pfd{fd, POLLOUT, 0};
+    if (::poll(&pfd, 1, 1000) == 0) {
+      blocked = true;
+      break;
+    }
+  }
+  EXPECT_TRUE(blocked) << "the server read " << written
+                       << " junk bytes after the fatal frame";
+  ::close(fd);
+
+  // The server keeps serving other connections.
+  const int fresh = connect_client();
+  bytes.clear();
+  serve::wire::append_request(bytes, 9, "m", api::kDetectionOutputs,
+                              std::nullopt, x.row_ptr(0), 1, x.cols());
+  send_all(fresh, bytes);
+  std::vector<unsigned char> storage;
+  const Frame frame = read_frame(fresh, storage);
+  ASSERT_EQ(frame.type, FrameType::kScoreResult);
+  EXPECT_EQ(frame.result.request_id, 9u);
+  ::close(fresh);
 }
 
 }  // namespace

@@ -342,11 +342,12 @@ int run_listen(const ServeArgs& args, api::DetectorRegistry& registry,
   const serve::ServerStats& stats = server.stats();
   const serve::BatcherStats& batcher = server.batcher_stats();
   std::printf("traffic  %llu request(s) -> %llu result(s), %llu error "
-              "frame(s), %llu connection(s)\n",
+              "frame(s), %llu connection(s), %llu send(s)\n",
               static_cast<unsigned long long>(stats.requests_in),
               static_cast<unsigned long long>(stats.results_out),
               static_cast<unsigned long long>(stats.errors_out),
-              static_cast<unsigned long long>(stats.connections_accepted));
+              static_cast<unsigned long long>(stats.connections_accepted),
+              static_cast<unsigned long long>(stats.sends));
   std::printf("accuracy %llu exact-tier, %llu fast-tier request(s), simd "
               "%s\n",
               static_cast<unsigned long long>(stats.requests_exact),
