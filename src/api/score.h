@@ -29,10 +29,11 @@
 //    posterior and entropy accumulates inside the engine kernels, and a
 //    detection-shaped request under vote entropy never pays the
 //    per-member entropy log() pair.
-//  - Steady state allocates nothing: ScoreResult's vectors (and its
-//    stats scratch) are resized, never reallocated, once their capacity
-//    has grown to the batch size — reuse one ScoreResult per serving
-//    loop.
+//  - ScoreResult's vectors (and its stats scratch) are resized, never
+//    reallocated, once their capacity has grown to the batch size —
+//    reuse one ScoreResult per serving loop. score() itself still
+//    allocates: the engines build per-call tile scratch, 4 heap
+//    allocations per call on an RF and 3 on an LR (ROADMAP item 8).
 //
 // ## The two-tier accuracy contract
 //
@@ -123,8 +124,9 @@ struct ScoreRequest {
 
 /// Struct-of-arrays result. Columns selected by the request hold one
 /// entry per input row; unselected columns are empty. Reuse one instance
-/// across calls: buffers only ever grow, so a steady-state serving loop
-/// allocates nothing (see the contract above).
+/// across calls: buffers only ever grow, so they stop reallocating once
+/// they reach the batch size (the engines' per-call scratch still
+/// allocates; see the contract above).
 struct ScoreResult {
   std::size_t rows = 0;  ///< rows scored by the last score() call
 
@@ -147,7 +149,7 @@ struct ScoreResult {
 
   /// Fast-tier column scratch (a kOutTrusted-without-kOutScore request
   /// needs somewhere to batch the scores). Internal to score(); contents
-  /// unspecified. Lives here so steady-state serving allocates nothing.
+  /// unspecified. Lives here so it is reused across calls.
   std::vector<double> fast_scratch;
 
   /// Size selected columns to `n`, empty the rest. Capacity is retained

@@ -159,7 +159,6 @@ class FlatForestEngine final : public InferenceEngine {
 
   /// Wall-clock cost of the background JIT compile and the sealed code
   /// size; both read 0 until the native program is installed.
-  /// bench_latency's jit series reports both.
   double jit_compile_ms() const;
   std::size_t jit_code_bytes() const;
 

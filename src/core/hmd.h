@@ -123,7 +123,9 @@ class UntrustedHmd {
   /// The unified batched entry point: fill the result columns selected by
   /// request.outputs for every row of *request.x, computing only what the
   /// mask demands (see the OutputMask contract in api/score.h). Reusing
-  /// one ScoreResult across calls makes the steady state allocation-free.
+  /// one ScoreResult across calls keeps its buffers from reallocating;
+  /// the engines' per-call scratch still makes 4 heap allocations per RF
+  /// call and 3 per LR call (ROADMAP item 8).
   void score(const api::ScoreRequest& request, api::ScoreResult& result) const;
 
   /// Classify one sample. (Compatibility wrapper over the score() spine's

@@ -29,8 +29,8 @@
 //             flip in a stored offset/size/checksum is itself caught.
 //
 //   flags bit 0 CLEAR (pre-checksum v2 files, still loadable and still
-//   writable via save_model's section_checksums=false for migration and
-//   benchmarking):
+//   writable via save_model's section_checksums=false for migration
+//   tests):
 //   [16..64)  section table: section_count × { u64 offset, u64 size }
 //
 //   Sections in order: config, scaler, engine. Offsets are 64-byte
@@ -124,8 +124,7 @@ enum class LoadMode {
   /// v2: mmap or throw LoadError{kMmapFailed}. v1: stream read (v1
   /// predates the zero-copy layout; there is nothing to map in place).
   kMmap,
-  /// Never map: v2 parses from a full heap read, v1 streams. The
-  /// full-copy baseline the bench compares against.
+  /// Never map: v2 parses from a full heap read, v1 streams.
   kStream,
 };
 
@@ -142,8 +141,7 @@ bool model_exists(const std::string& path);
 /// selects the on-disk layout (v2 by default; v1 kept for migration
 /// tests and old readers); `section_checksums` selects the checksummed
 /// v2 table (ignored for v1; false reproduces the pre-checksum v2 layout
-/// for migration tests and the checksum-vs-walk bench). Writes are
-/// atomic and durable (see header).
+/// for migration tests). Writes are atomic and durable (see header).
 void save_model(const UntrustedHmd& hmd, const std::string& path,
                 std::uint32_t format_version = kModelFormatVersion,
                 bool section_checksums = true);

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "common/binary_io.h"
 #include "common/error.h"
@@ -141,92 +140,6 @@ DatasetBundle load_bundle(const std::string& name, const std::string& stem) {
   bundle.train = read_split(in, path);
   bundle.test = read_split(in, path);
   bundle.unknown = read_split(in, path);
-  return bundle;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy v1 CSV format.
-
-namespace {
-
-const char* const kSplitSuffix[3] = {"_train.csv", "_test.csv",
-                                     "_unknown.csv"};
-
-void write_split_csv(const ml::Dataset& split, const std::string& path) {
-  ensure_parent(path);
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw IoError("save_bundle_csv: cannot open " + path);
-  out.precision(17);
-  out << split.X.rows() << ',' << split.X.cols() << '\n';
-  for (std::size_t r = 0; r < split.X.rows(); ++r) {
-    const double* row = split.X.row_ptr(r);
-    for (std::size_t c = 0; c < split.X.cols(); ++c) out << row[c] << ',';
-    out << split.y[r] << ','
-        << (split.app_ids.empty() ? -1 : split.app_ids[r]) << '\n';
-  }
-}
-
-ml::Dataset read_split_csv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw IoError("load_bundle_csv: missing " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw IoError("load_bundle_csv: empty file " + path);
-  }
-  std::size_t rows = 0, cols = 0;
-  {
-    std::istringstream header(line);
-    char comma = 0;
-    header >> rows >> comma >> cols;
-  }
-  ml::Dataset split;
-  split.X = Matrix(rows, cols);
-  split.y.resize(rows);
-  split.app_ids.resize(rows);
-  bool any_app = false;
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (!std::getline(in, line)) {
-      throw IoError("load_bundle_csv: truncated " + path);
-    }
-    std::istringstream cells(line);
-    std::string cell;
-    double* row = split.X.row_ptr(r);
-    for (std::size_t c = 0; c < cols; ++c) {
-      if (!std::getline(cells, cell, ',')) {
-        throw IoError("load_bundle_csv: short row in " + path);
-      }
-      row[c] = std::stod(cell);
-    }
-    if (!std::getline(cells, cell, ',')) {
-      throw IoError("load_bundle_csv: missing label in " + path);
-    }
-    split.y[r] = std::stoi(cell);
-    if (std::getline(cells, cell, ',')) {
-      split.app_ids[r] = std::stoi(cell);
-      any_app = any_app || split.app_ids[r] >= 0;
-    }
-  }
-  if (!any_app) split.app_ids.clear();
-  return split;
-}
-
-}  // namespace
-
-void save_bundle_csv(const DatasetBundle& bundle, const std::string& stem) {
-  const ml::Dataset* splits[3] = {&bundle.train, &bundle.test,
-                                  &bundle.unknown};
-  for (int i = 0; i < 3; ++i) {
-    write_split_csv(*splits[i], stem + kSplitSuffix[i]);
-  }
-}
-
-DatasetBundle load_bundle_csv(const std::string& name,
-                              const std::string& stem) {
-  DatasetBundle bundle;
-  bundle.name = name;
-  bundle.train = read_split_csv(stem + kSplitSuffix[0]);
-  bundle.test = read_split_csv(stem + kSplitSuffix[1]);
-  bundle.unknown = read_split_csv(stem + kSplitSuffix[2]);
   return bundle;
 }
 

@@ -35,12 +35,14 @@
 // by the determinism suite), so a response sliced out of a coalesced
 // batch is bit-identical to a direct score() on the request's rows —
 // asserted per mask by tests/test_batcher.cpp and end-to-end by
-// bench_serving.
+// `hmd_client --verify` in tests/serve_socket_smoke.sh.
 //
 // Single-threaded, like the event loop that drives it. Completion sinks
-// run synchronously inside enqueue()/flush_*(); steady state allocates
-// nothing (each queue's row buffer, item list, and ScoreResult are
-// reused across flushes).
+// run synchronously inside enqueue()/flush_*(). Each queue's row buffer,
+// item list, and ScoreResult are reused across flushes, but a flush is
+// not allocation-free: encoding its answers through wire::append_result
+// makes 3 heap allocations per batch, on top of score()'s own (ROADMAP
+// item 8).
 
 #include <chrono>
 #include <cstdint>
@@ -60,7 +62,7 @@ namespace hmd::serve {
 struct BatcherOptions {
   /// Flush a queue once it holds this many rows. 256 matches the engines'
   /// internal tile (FlatForestEngine::kTileRows); 1 disables coalescing
-  /// entirely — the batch-1 baseline bench_serving compares against.
+  /// entirely (every request is scored as its own batch).
   std::size_t max_batch_rows = 256;
   /// Upper bound on how long a queued request may wait for batch-mates.
   std::int64_t max_delay_us = 200;

@@ -108,7 +108,7 @@
 // different keys on one pipelined connection, say — come back in flush
 // order, and a request rejected before queueing (unknown key, bad shape)
 // is answered at once, ahead of queued work. Ordering across connections
-// is unspecified. serve/loadgen.cpp matches answers by id.
+// is unspecified. tools/loadgen.cpp matches answers by id.
 
 #include <cstdint>
 #include <optional>

@@ -22,6 +22,8 @@
 #      proof the hot-swap landed and in-flight serving never broke.
 #   6. SIGTERM: the server must drain, print its traffic/batcher/served
 #      summaries, and exit 0.
+#   7. Without --threads, hmd_serve runs as many threads over 8 keys as
+#      over 1: the default pool width adds no idle workers per model.
 #
 # usage: serve_socket_smoke.sh <hmd_train> <hmd_serve> <hmd_client>
 set -euo pipefail
@@ -208,6 +210,30 @@ grep -Eq "^fleet    2 key\(s\) in [0-9]+ shard\(s\), filter .* reject\(s\)" \
 grep -Eq "^resident .* across 2 model\(s\)" "$workdir/server.log" || {
   echo "FAIL: missing or malformed residency summary" >&2
   cat "$workdir/server.log" >&2
+  exit 1; }
+
+# Leg 7: the default --threads. A served batch is one 256-row tile, so
+# pool workers beyond the serving thread never run; hmd_serve without
+# --threads must start the same number of threads for 1 key as for 8
+# (hard links of one artifact). --jit=off keeps the background compile
+# worker out of the count.
+for n in 1 8; do
+  mkdir -p "$workdir/threads_$n"
+  for i in $(seq 1 "$n"); do
+    ln "$workdir/replacement.artifact" "$workdir/threads_$n/key_$i.hmdf"
+  done
+  start_server "$workdir/threads_$n.log" --models="$workdir/threads_$n" \
+      --jit=off
+  grep -q "serving  $n model(s)" "$workdir/threads_$n.log" || {
+    echo "FAIL: expected $n model(s) from the registry" >&2
+    cat "$workdir/threads_$n.log" >&2
+    exit 1; }
+  tasks[$n]=$(ls "/proc/$server_pid/task" | wc -l)
+  stop_server
+done
+echo "default --threads: ${tasks[1]} thread(s) over 1 key, ${tasks[8]} over 8"
+[ "${tasks[1]}" -eq "${tasks[8]}" ] || {
+  echo "FAIL: the default --threads starts pool workers per model" >&2
   exit 1; }
 
 echo "serve_socket_smoke: OK"

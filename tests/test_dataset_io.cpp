@@ -1,6 +1,5 @@
-// Binary dataset-bundle cache: round-trip exactness, stale-cache
-// rejection (bad magic / version mismatch / truncation), and the legacy
-// CSV path the binary format replaced.
+// Binary dataset-bundle cache: round-trip exactness and stale-cache
+// rejection (bad magic / version mismatch / truncation).
 
 #include <gtest/gtest.h>
 
@@ -92,26 +91,6 @@ TEST_F(DatasetIoTest, TruncatedCacheThrows) {
   EXPECT_TRUE(data::bundle_exists(stem_));
   // ...but loading must fail loudly rather than return half a dataset.
   EXPECT_THROW(data::load_bundle("DVFS", stem_), IoError);
-}
-
-TEST_F(DatasetIoTest, LegacyCsvRoundTripStillWorks) {
-  const auto& bundle = test::small_dvfs();
-  data::save_bundle_csv(bundle, stem_);
-  const auto loaded = data::load_bundle_csv(bundle.name, stem_);
-  expect_split_equal(loaded.train, bundle.train);
-  expect_split_equal(loaded.test, bundle.test);
-  expect_split_equal(loaded.unknown, bundle.unknown);
-}
-
-TEST_F(DatasetIoTest, BinaryAndCsvAgree) {
-  const auto& bundle = test::small_hpc();
-  data::save_bundle(bundle, stem_);
-  data::save_bundle_csv(bundle, stem_);
-  const auto binary = data::load_bundle(bundle.name, stem_);
-  const auto csv = data::load_bundle_csv(bundle.name, stem_);
-  expect_split_equal(binary.train, csv.train);
-  expect_split_equal(binary.test, csv.test);
-  expect_split_equal(binary.unknown, csv.unknown);
 }
 
 }  // namespace

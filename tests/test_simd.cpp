@@ -40,7 +40,7 @@ namespace {
 using namespace hmd;
 
 // Monotone bit-rank of a double (total order matching <), so ULP
-// distance is rank subtraction — same mapping serve/loadgen.cpp uses to
+// distance is rank subtraction — same mapping tools/loadgen.cpp uses to
 // verify fast-tier responses.
 std::uint64_t rank_of(double v) {
   std::uint64_t bits;
@@ -323,7 +323,8 @@ TEST(SimdParityTest, InPlaceAliasingMatchesOutOfPlace) {
 // End to end through api::score()
 
 constexpr std::uint64_t kEndToEndUlps = 8;
-constexpr double kEndToEndAbs = 1e-12;  // MI cancellation (see loadgen.cpp)
+// Absolute slack for mutual-information cancellation (see tools/loadgen.cpp).
+constexpr double kEndToEndAbs = 1e-12;
 
 bool column_close(const std::vector<double>& got,
                   const std::vector<double>& want) {

@@ -43,7 +43,7 @@
 #include "core/hmd.h"
 #include "core/model_artifact.h"
 #include "core/uncertainty.h"
-#include "serve/loadgen.h"
+#include "loadgen.h"
 
 namespace {
 

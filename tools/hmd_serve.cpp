@@ -106,7 +106,10 @@ struct ServeArgs {
   std::string models_dir;
   std::vector<std::string> artifacts;
   serve::ServerOptions server;
-  int n_threads = 0;  ///< registry load/inference width; <= 0 = all cores
+  /// Registry load/inference width; <= 0 = all cores. Defaults to 1: a
+  /// served batch is one 256-row tile, so wider pools only add idle
+  /// workers to every loaded model.
+  int n_threads = 1;
   core::LoadMode load_mode = core::LoadMode::kAuto;
   int residency_mb = 0;  ///< resident-artifact budget; 0 = unbounded
   bool filter = true;    ///< cuckoo-filter front door for unknown keys

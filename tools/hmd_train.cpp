@@ -13,10 +13,10 @@
 //
 // --fleet=N clones the verified artifact into DIR as N per-member keys
 // (`<stem>_0000.hmdf` ...), the synthetic-fleet generator behind
-// hmd_serve's fleet-scale knobs and bench_fleet: one real training run,
-// N registrable artifacts. Clones are hard links by default (byte-
-// identical, near-zero disk); --fleet-copy forces independent byte
-// copies (each clone its own inode — what an eviction/RSS drill wants).
+// hmd_serve's fleet-scale knobs: one real training run, N registrable
+// artifacts. Clones are hard links by default (byte-identical, near-zero
+// disk); --fleet-copy forces independent byte copies (each clone its own
+// inode — what an eviction/RSS drill wants).
 //
 // Exit codes: 0 success, 1 runtime failure (training / verification),
 // 2 usage, 3 load or integrity error (a corrupt dataset cache or a

@@ -1,4 +1,4 @@
-#include "serve/loadgen.h"
+#include "loadgen.h"
 
 #include <arpa/inet.h>
 #include <fcntl.h>

@@ -1,12 +1,12 @@
 #pragma once
-// Wire-protocol load generator shared by tools/hmd_client and
-// bench/bench_serving: N concurrent connections driven open-loop (paced
-// request rate) or closed-loop (fixed pipeline depth per connection),
-// request rows cycled deterministically from a source matrix, per-request
-// latency sampled, and — when `expected` is set — every response byte
-// checked against a precomputed direct score() of the same rows
-// (bit-parity: valid because per-row results are independent of batching,
-// see the contract in serve/wire.h).
+// Wire-protocol load generator behind tools/hmd_client: N concurrent
+// connections driven open-loop (paced request rate) or closed-loop
+// (fixed pipeline depth per connection), request rows cycled
+// deterministically from a source matrix, per-request latency sampled,
+// and — when `expected` is set — every response byte checked against a
+// precomputed direct score() of the same rows (bit-parity: valid because
+// per-row results are independent of batching, see the contract in
+// serve/wire.h).
 
 #include <cstdint>
 #include <optional>
