@@ -222,7 +222,7 @@ class DetectorRegistry {
 
   /// `n_threads` sizes every loaded detector's serving thread pool
   /// (<= 0 = all cores) and `mode` how artifact bytes are materialised
-  /// (mmap by default for v2 artifacts), exactly like core::load_model.
+  /// (mmap by default), exactly like core::load_model.
   /// `fleet` sizes the key shards, the filter front door, and the
   /// residency budget (defaults: 16 shards, filter on, unbounded).
   explicit DetectorRegistry(int n_threads = 0,

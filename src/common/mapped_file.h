@@ -1,10 +1,10 @@
 #pragma once
 // Zero-copy artifact memory: a RAII read-only file mapping and the
-// ArtifactBuffer that the `.hmdf` v2 loader parses in place.
+// ArtifactBuffer that the `.hmdf` loader parses in place.
 //
 // MappedFile wraps mmap(PROT_READ, MAP_PRIVATE) of a whole file. The
 // mapping base is page-aligned, so any file offset that is 64-byte
-// aligned on disk is 64-byte aligned in memory — the property the v2
+// aligned on disk is 64-byte aligned in memory — the property the
 // artifact layout (core/model_artifact.h) is built around. Unmapping
 // happens in the destructor; a mapping outlives any rename that replaces
 // the file's directory entry (the inode stays live until the last
@@ -14,7 +14,7 @@
 // ArtifactBuffer owns artifact bytes either as a MappedFile (zero-copy:
 // residency cost is the page faults actually touched) or as a 64-byte-
 // aligned heap blob (full-copy: one read() of the whole file). Both give
-// the same (data, size) view, so the v2 parser is a single code path and
+// the same (data, size) view, so the parser is a single code path and
 // mmap-loaded engines are trivially bit-identical to buffer-read ones.
 //
 // The discipline callers must keep: a writer replacing a mapped file must
@@ -55,7 +55,7 @@ class MappedFile {
 
 /// Owns one artifact's bytes — either a file mapping or a heap blob —
 /// and exposes them as a contiguous read-only span. Heap blobs are
-/// allocated 64-byte aligned so the v2 parser's alignment checks hold
+/// allocated 64-byte aligned so the parser's alignment checks hold
 /// for both ownership modes.
 class ArtifactBuffer {
  public:

@@ -110,9 +110,9 @@ void FlatForestEngine::derive_stumps() {
       ++n_stumps_;
       continue;
     }
-    // Bounds guard rather than assumption: under a checksummed load the
-    // deep walk is skipped, and this is the only arena dereference that
-    // happens at load time — keep it in-bounds even for impossible input.
+    // Bounds guard rather than assumption: no load walks the arena, and
+    // this is the only arena dereference that happens at load time —
+    // keep it in-bounds even for impossible input.
     if (node.left <= 0 ||
         node.left >= static_cast<std::int32_t>(nodes_.size()) - 1) {
       continue;
@@ -134,16 +134,6 @@ void FlatForestEngine::derive_stumps() {
   }
 }
 
-void FlatForestEngine::save_blob(std::ostream& out) const {
-  io::write_pod(out, static_cast<std::uint64_t>(n_features_));
-  io::write_pod(out, static_cast<std::uint64_t>(nodes_.size()));
-  io::write_span(out, nodes_.data(), nodes_.size());
-  io::write_pod(out, static_cast<std::uint64_t>(leaf_entropy_.size()));
-  io::write_span(out, leaf_entropy_.data(), leaf_entropy_.size());
-  io::write_pod(out, static_cast<std::uint64_t>(roots_.size()));
-  io::write_span(out, roots_.data(), roots_.size());
-}
-
 void FlatForestEngine::save_blob_v2(io::AlignedWriter& out) const {
   // Counts first, then each array on a 64-byte file offset — the arena
   // and its side tables are served straight out of the mapping.
@@ -160,73 +150,17 @@ void FlatForestEngine::save_blob_v2(io::AlignedWriter& out) const {
 
 namespace {
 
-/// Geometry caps shared by both load paths. 2^26 16-byte nodes is a 1 GiB
-/// model, far above any real ensemble — a corrupt length field must
-/// throw, not trigger an OOM-sized allocation (v1) or an absurd view
-/// (v2, where ByteReader's bounds check would also catch it).
+/// Geometry caps. 2^26 16-byte nodes is a 1 GiB model, far above any real
+/// ensemble — a corrupt length field must throw, not build an absurd
+/// view (ByteReader's bounds check would also catch it).
 constexpr std::uint64_t kMaxNodes = std::uint64_t{1} << 26;
 constexpr std::uint64_t kMaxFeatures = std::uint64_t{1} << 24;
 
 }  // namespace
 
-void FlatForestEngine::validate_geometry(const std::string& context,
-                                         bool deep) const {
-  if (roots_.empty() || leaf_entropy_.size() != nodes_.size())
-    throw LoadError(LoadErrorCode::kBadStructure, context,
-                    "inconsistent flat-forest geometry");
-  const auto n_nodes = static_cast<std::int32_t>(nodes_.size());
-  if (deep) {
-    // Structural validation so a corrupt arena can never be *traversed*
-    // wrong: feature indices stay inside the input row, and child links
-    // point strictly forward (the BFS re-layout guarantees this), which
-    // also guarantees every walk terminates. Checksummed loads skip this
-    // O(n_nodes) page walk — bit-level intactness is already proven, and
-    // the writer only ever serialises arenas that pass it.
-    for (std::int32_t i = 0; i < n_nodes; ++i) {
-      const Node& node = nodes_[static_cast<std::size_t>(i)];
-      if (node.feature < 0) continue;
-      if (static_cast<std::uint64_t>(node.feature) >= n_features_)
-        throw LoadError(LoadErrorCode::kBadStructure, context,
-                        "out-of-range feature index");
-      // `left >= n_nodes - 1` (not `left + 1 >= n_nodes`): a crafted arena
-      // with left == INT32_MAX must be rejected, not signed-overflow UB.
-      if (node.left <= i || node.left >= n_nodes - 1)
-        throw LoadError(LoadErrorCode::kBadStructure, context,
-                        "out-of-arena child index");
-    }
-  }
-  for (const std::int32_t root : roots_) {
-    if (root < 0 || root >= n_nodes)
-      throw LoadError(LoadErrorCode::kBadStructure, context,
-                      "out-of-arena root index");
-  }
-}
-
-std::unique_ptr<FlatForestEngine> FlatForestEngine::load_blob(
-    std::istream& in, const std::string& context) {
-  auto flat = std::make_unique<FlatForestEngine>();
-  std::uint64_t n_features = 0;
-  io::read_pod(in, n_features, context);
-  if (n_features == 0 || n_features > kMaxFeatures)
-    throw LoadError(LoadErrorCode::kBadStructure, context,
-                    "implausible flat-forest feature width " +
-                        std::to_string(n_features));
-  flat->n_features_ = static_cast<std::size_t>(n_features);
-  io::read_vec(in, flat->nodes_storage_, context, kMaxNodes);
-  io::read_vec(in, flat->leaf_entropy_storage_, context,
-               flat->nodes_storage_.size());
-  io::read_vec(in, flat->roots_storage_, context,
-               flat->nodes_storage_.size());
-  flat->adopt_storage();
-  flat->validate_geometry(context, /*deep=*/true);
-  flat->derive_stumps();
-  flat->queue_jit_compile();
-  return flat;
-}
-
 std::unique_ptr<FlatForestEngine> FlatForestEngine::from_buffer(
     io::ByteReader& in, std::shared_ptr<const io::ArtifactBuffer> keepalive,
-    bool deep_validate) {
+    bool /*unused*/) {
   auto flat = std::make_unique<FlatForestEngine>();
   const auto n_features = in.read_pod<std::uint64_t>();
   const auto n_nodes = in.read_pod<std::uint64_t>();
@@ -235,7 +169,8 @@ std::unique_ptr<FlatForestEngine> FlatForestEngine::from_buffer(
     throw LoadError(LoadErrorCode::kBadStructure, in.context(),
                     "implausible flat-forest feature width " +
                         std::to_string(n_features));
-  if (n_nodes == 0 || n_nodes > kMaxNodes || n_roots > n_nodes)
+  if (n_nodes == 0 || n_nodes > kMaxNodes || n_roots == 0 ||
+      n_roots > n_nodes)
     throw LoadError(LoadErrorCode::kBadStructure, in.context(),
                     "implausible flat-forest geometry");
   flat->n_features_ = static_cast<std::size_t>(n_features);
@@ -251,7 +186,13 @@ std::unique_ptr<FlatForestEngine> FlatForestEngine::from_buffer(
   flat->roots_ = {in.view_span<std::int32_t>(n_roots),
                   static_cast<std::size_t>(n_roots)};
   flat->buffer_ = std::move(keepalive);
-  flat->validate_geometry(in.context(), deep_validate);
+  // The arena itself is not walked (its section checksum vouched for
+  // it), but every root must lie inside it.
+  for (const std::int32_t root : flat->roots_) {
+    if (root < 0 || static_cast<std::uint64_t>(root) >= n_nodes)
+      throw LoadError(LoadErrorCode::kBadStructure, in.context(),
+                      "out-of-arena root index");
+  }
   flat->derive_stumps();
   flat->queue_jit_compile();
   return flat;

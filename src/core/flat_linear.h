@@ -44,14 +44,13 @@
 // output range, so results are deterministic for any worker count.
 //
 // Storage is view-based, like FlatForestEngine: every hot-path array —
-// including the feature-major transpose, which the `.hmdf` v2 layout
+// including the feature-major transpose, which the `.hmdf` layout
 // stores alongside the member-major weights precisely so the batch-kernel
 // layout maps in place — is a std::span pointing either at engine-owned
-// vectors (training / v1 stream load) or straight into a `.hmdf` v2
-// ArtifactBuffer (from_buffer), which the engine pins via shared_ptr.
+// vectors (training) or straight into a `.hmdf` ArtifactBuffer
+// (from_buffer), which the engine pins via shared_ptr.
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <vector>
@@ -82,13 +81,7 @@ class FlatLinearEngine final : public InferenceEngine {
   static std::unique_ptr<FlatLinearEngine> compile(
       const ml::Bagging& ensemble, const ml::StandardScaler& scaler);
 
-  /// Reconstruct from a save_blob() payload (standardisation moments
-  /// included); throws IoError on truncation or inconsistent geometry.
-  /// The engine owns its storage (the v1 stream path).
-  static std::unique_ptr<FlatLinearEngine> load_blob(
-      std::istream& in, const std::string& context);
-
-  /// Reconstruct from a `.hmdf` v2 save_blob_v2() payload, viewing every
+  /// Reconstruct from a save_blob_v2() payload, viewing every
   /// array — the M×d weight matrix, its feature-major transpose, the
   /// bias / Platt / moment vectors — in place inside `keepalive`'s
   /// buffer. No copies, no transpose rebuild at load.
@@ -106,7 +99,6 @@ class FlatLinearEngine final : public InferenceEngine {
   void stats_batch(const Matrix& x, ThreadPool* pool,
                    std::vector<EnsembleStats>& out,
                    StatsMask mask) const override;
-  void save_blob(std::ostream& out) const override;
   void save_blob_v2(io::AlignedWriter& out) const override;
   bool zero_copy() const override {
     return buffer_ != nullptr && buffer_->mapped();
@@ -125,9 +117,8 @@ class FlatLinearEngine final : public InferenceEngine {
 
  private:
   /// Rebuild the feature-major weights_t_ copy from the member-major
-  /// weights_ (after compile and after v1 load, so the two paths can
-  /// never diverge on the batch-kernel layout; a v2 artifact carries the
-  /// transpose on disk and maps it instead).
+  /// weights_ after compile (an artifact carries the transpose on disk
+  /// and maps it instead).
   void rebuild_transpose();
 
   /// Point the hot-path spans at the engine-owned storage vectors.
@@ -144,12 +135,12 @@ class FlatLinearEngine final : public InferenceEngine {
 
   /// Fast-tier kernel table, resolved for the active ISA once at engine
   /// construction (the in-class initialiser covers every construction
-  /// path: compile, load_blob, from_buffer). Exact-tier requests never
+  /// path: compile, from_buffer). Exact-tier requests never
   /// consult it.
   const simd::VmathKernels* vmath_ = &simd::kernels();
 
-  // Hot-path views. Either into the storage vectors below (training /
-  // v1 stream load) or straight into buffer_'s mapped bytes (v2 load).
+  // Hot-path views. Either into the storage vectors below (training) or
+  // straight into buffer_'s artifact bytes (load).
   std::span<const double> weights_;    ///< member-major M×d (serialised)
   std::span<const double> weights_t_;  ///< feature-major d×M (batch kernel)
   std::span<const double> bias_;       ///< per-member intercept

@@ -14,8 +14,8 @@
 //
 // Every engine serialises itself into the `.hmdf` model artifact
 // (core/model_artifact.h): `engine_id()` tags the blob on disk and
-// `save_blob()` writes it; the artifact loader dispatches on the tag to
-// the matching engine's load routine, reconstructing a serving-only
+// `save_blob_v2()` writes it; the artifact loader dispatches on the tag to
+// the matching engine's from_buffer(), reconstructing a serving-only
 // detector with no ml::Bagging (and no training code) on the path.
 
 #include <cstdint>
@@ -122,11 +122,12 @@ class InferenceEngine {
                            std::vector<EnsembleStats>& out,
                            StatsMask mask) const = 0;
 
-  /// Serialise the engine payload (everything after the artifact's
-  /// engine-id tag) to `out` in the v1 stream layout.
-  virtual void save_blob(std::ostream& out) const = 0;
+  /// save_blob_v2() into a plain stream (defined in model_artifact.cpp).
+  /// Nothing in the library calls it; perfbench/ still overrides it.
+  virtual void save_blob(std::ostream& out) const;
 
-  /// Serialise the engine payload in the `.hmdf` v2 layout: counts first,
+  /// Serialise the engine payload (everything after the artifact's
+  /// engine-id tag) in the `.hmdf` layout: counts first,
   /// then every large array padded to a 64-byte file offset so a mapped
   /// artifact serves it in place (see core/model_artifact.h for the
   /// on-disk contract).

@@ -29,27 +29,20 @@ constexpr std::size_t kSectionAlignment = 64;
 const char* const kSectionNames[kSectionCount] = {"config", "scaler",
                                                  "engine"};
 
-/// Pre-checksum v2 table entry (flags bit 0 clear): 16 bytes.
+/// Section table entry: 24 bytes.
 struct SectionEntry {
-  std::uint64_t offset = 0;
-  std::uint64_t size = 0;
-};
-
-/// Checksummed v2 table entry (flags bit 0 set): 24 bytes.
-struct ChecksumSectionEntry {
   std::uint64_t offset = 0;
   std::uint64_t size = 0;
   std::uint64_t checksum = 0;
 };
-static_assert(sizeof(ChecksumSectionEntry) == 24,
-              "table entries are streamed raw");
+static_assert(sizeof(SectionEntry) == 24, "table entries are streamed raw");
 
-/// Byte offset of the header hash in a checksummed artifact: right after
-/// the 24-byte-entry table. The hash covers bytes [0, kHeaderHashOffset).
+/// Byte offset of the header hash: right after the section table. The
+/// hash covers bytes [0, kHeaderHashOffset).
 constexpr std::uint64_t kHeaderHashOffset =
-    kSectionTableOffset + kSectionCount * sizeof(ChecksumSectionEntry);
-/// Total header region of a checksummed artifact (hash included).
-constexpr std::uint64_t kChecksumHeaderBytes = kHeaderHashOffset + 8;
+    kSectionTableOffset + kSectionCount * sizeof(SectionEntry);
+/// Total header region (hash included).
+constexpr std::uint64_t kHeaderBytes = kHeaderHashOffset + 8;
 
 std::string hex_u64(std::uint64_t value) {
   char buf[2 + 16 + 1];
@@ -58,37 +51,71 @@ std::string hex_u64(std::uint64_t value) {
   return buf;
 }
 
-/// Read and validate the 8-byte magic+version prefix, throwing the typed
-/// error that names what is actually wrong (not-an-artifact vs
-/// future-version vs too-short-to-tell).
-std::uint32_t read_header_version(std::istream& in, const std::string& path) {
-  char magic[4] = {};
-  std::uint32_t version = 0;
-  in.read(magic, sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in) {
-    throw LoadError(LoadErrorCode::kTruncated, path,
-                    "file shorter than the 8-byte artifact header");
-  }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+/// Validate the 8-byte magic+version prefix, throwing the typed error
+/// that names what is actually wrong (not-an-artifact vs another
+/// version). The code is persistent, so a registry never retries it.
+void check_prefix(const char* prefix, const std::string& path) {
+  if (std::memcmp(prefix, kMagic, sizeof(kMagic)) != 0) {
     throw LoadError(LoadErrorCode::kBadMagic, path,
                     "bad magic (not a .hmdf artifact)");
   }
-  if (version != kModelFormatV1 && version != kModelFormatVersion) {
+  std::uint32_t version = 0;
+  std::memcpy(&version, prefix + sizeof(kMagic), sizeof(version));
+  if (version != kModelFormatVersion) {
     throw LoadError(LoadErrorCode::kBadVersion, path,
                     "unsupported format version " + std::to_string(version) +
-                        " (expected " + std::to_string(kModelFormatV1) +
-                        " or " + std::to_string(kModelFormatVersion) + ")");
+                        " (expected " + std::to_string(kModelFormatVersion) +
+                        "); re-save it with hmd_train");
   }
-  return version;
 }
 
-bool header_matches(std::istream& in, std::uint32_t& version) {
-  char magic[4] = {};
-  in.read(magic, sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  return in && std::memcmp(magic, kMagic, sizeof(kMagic)) == 0 &&
-         (version == kModelFormatV1 || version == kModelFormatVersion);
+/// The parsed header: the section table and the stored header hash.
+struct Header {
+  SectionEntry sections[kSectionCount];
+  std::uint64_t hash = 0;
+};
+
+/// Parse the 96-byte header at the start of `in`: prefix, section count,
+/// flags (exactly kArtifactFlagSectionChecksums; a checksum-less file is
+/// another version), the table and the header hash. Verifies nothing
+/// else.
+Header read_header(io::ByteReader& in, const std::string& path) {
+  check_prefix(in.view_span<char>(8), path);
+  const auto section_count = in.read_pod<std::uint32_t>();
+  const auto flags = in.read_pod<std::uint32_t>();
+  if (section_count != kSectionCount) {
+    throw LoadError(LoadErrorCode::kBadStructure, path,
+                    "bad section count " + std::to_string(section_count));
+  }
+  if (flags != kArtifactFlagSectionChecksums) {
+    throw LoadError(LoadErrorCode::kBadVersion, path,
+                    "unsupported header flags " + hex_u64(flags) +
+                        " (expected checksummed sections); re-save it "
+                        "with hmd_train");
+  }
+  Header header;
+  for (SectionEntry& entry : header.sections) {
+    entry = in.read_pod<SectionEntry>();
+  }
+  header.hash = in.read_pod<std::uint64_t>();
+  return header;
+}
+
+/// Every section must end inside a file of `file_bytes` bytes.
+void check_section_bounds(const Header& header, std::uint64_t file_bytes,
+                          const std::string& path) {
+  for (std::uint32_t i = 0; i < kSectionCount; ++i) {
+    const SectionEntry& entry = header.sections[i];
+    if (entry.offset + entry.size < entry.offset ||  // u64 overflow
+        entry.offset + entry.size > file_bytes) {
+      throw LoadError(LoadErrorCode::kTruncated, path,
+                      "section '" + std::string(kSectionNames[i]) +
+                          "' ends at byte " +
+                          std::to_string(entry.offset + entry.size) +
+                          ", past end of file (" +
+                          std::to_string(file_bytes) + " bytes)");
+    }
+  }
 }
 
 /// fsync the file (or directory) at `path`; throws IoError on failure so
@@ -109,34 +136,17 @@ void fsync_path(const std::string& path, bool directory) {
   }
 }
 
-// Config codec shared by the v1 stream and v2 buffer paths: one field
-// list, two byte sources, so the layouts cannot drift apart. `Source`
-// provides read_pod<T>() (io::ByteReader does; StreamSource adapts an
-// istream).
-
-struct StreamSource {
-  std::istream& in;
-  const std::string& context;
-  template <typename T>
-  T read_pod() {
-    T value;
-    io::read_pod(in, value, context);
-    return value;
-  }
-};
-
-template <typename Source>
-HmdConfig read_config(Source& in, const std::string& path, int n_threads,
-                      double& converged_fraction) {
+HmdConfig read_config(io::ByteReader& in, const std::string& path,
+                      int n_threads, double& converged_fraction) {
   HmdConfig config;
-  const auto model_kind = in.template read_pod<std::uint32_t>();
-  const auto n_members = in.template read_pod<std::int32_t>();
-  const auto mode = in.template read_pod<std::uint32_t>();
-  config.entropy_threshold = in.template read_pod<double>();
-  config.seed = in.template read_pod<std::uint64_t>();
-  const auto min_leaf = in.template read_pod<std::int32_t>();
-  const auto max_depth = in.template read_pod<std::int32_t>();
-  converged_fraction = in.template read_pod<double>();
+  const auto model_kind = in.read_pod<std::uint32_t>();
+  const auto n_members = in.read_pod<std::int32_t>();
+  const auto mode = in.read_pod<std::uint32_t>();
+  config.entropy_threshold = in.read_pod<double>();
+  config.seed = in.read_pod<std::uint64_t>();
+  const auto min_leaf = in.read_pod<std::int32_t>();
+  const auto max_depth = in.read_pod<std::int32_t>();
+  converged_fraction = in.read_pod<double>();
   if (model_kind > static_cast<std::uint32_t>(ModelKind::kBaggedSvm))
     throw LoadError(LoadErrorCode::kBadStructure, path,
                     "unknown model kind " + std::to_string(model_kind));
@@ -167,69 +177,37 @@ void write_config(io::AlignedWriter& out, const HmdConfig& config,
   out.write_pod(converged_fraction);
 }
 
-/// The v1 layout, byte for byte what every pre-v2 reader expects.
-void save_model_v1(std::ostream& out, const UntrustedHmd& hmd) {
-  const InferenceEngine& engine = hmd.engine();
-  const HmdConfig& config = hmd.config();
-  out.write(kMagic, sizeof(kMagic));
-  io::write_pod(out, kModelFormatV1);
-
-  io::AlignedWriter writer(out);  // v1 never pads; used for the one codec
-  write_config(writer, config, hmd.converged_fraction());
-
-  const ml::StandardScaler& scaler = hmd.input_scaler();
-  const std::uint8_t has_scaler = scaler.fitted() ? 1 : 0;
-  io::write_pod(out, has_scaler);
-  if (has_scaler) {
-    io::write_pod(out, static_cast<std::uint64_t>(scaler.means().size()));
-    io::write_span(out, scaler.means().data(), scaler.means().size());
-    io::write_span(out, scaler.scales().data(), scaler.scales().size());
-  }
-
-  io::write_pod(out, static_cast<std::uint32_t>(engine.engine_id()));
-  engine.save_blob(out);
-}
-
-/// The v2 zero-copy layout (contract in model_artifact.h): header +
+/// The zero-copy layout (contract in model_artifact.h): header +
 /// section table, then 64-byte-aligned config / scaler / engine sections.
 /// Offsets, sizes, and checksums are patched in once known. Section
 /// hashes are computed *in-stream* by the AlignedWriter as the bytes go
-/// out (begin_hash/end_hash around each section), so the checksummed save
-/// never re-reads the temp file — one write pass, one seekp to patch the
+/// out (begin_hash/end_hash around each section), so the save never
+/// re-reads the temp file — one write pass, one seekp to patch the
 /// finished header.
-void save_model_v2(std::ostream& out, const UntrustedHmd& hmd,
-                   bool section_checksums) {
+void write_artifact(std::ostream& out, const UntrustedHmd& hmd) {
   const InferenceEngine& engine = hmd.engine();
   io::AlignedWriter writer(out);
   writer.write_span(kMagic, sizeof(kMagic));
   writer.write_pod(kModelFormatVersion);
   writer.write_pod(kSectionCount);
-  writer.write_pod(section_checksums ? kArtifactFlagSectionChecksums
-                                     : std::uint32_t{0});
-  // Placeholder section table (and, when checksummed, header hash),
-  // patched below once offsets are known.
-  ChecksumSectionEntry sections[kSectionCount] = {};
-  if (section_checksums) {
-    writer.write_span(sections, kSectionCount);
-    writer.write_pod(std::uint64_t{0});  // header hash placeholder
-  } else {
-    for (const ChecksumSectionEntry& entry : sections) {
-      writer.write_pod(entry.offset);
-      writer.write_pod(entry.size);
-    }
-  }
+  writer.write_pod(kArtifactFlagSectionChecksums);
+  // Placeholder section table and header hash, patched below once
+  // offsets are known.
+  SectionEntry sections[kSectionCount] = {};
+  writer.write_span(sections, kSectionCount);
+  writer.write_pod(std::uint64_t{0});
 
   // Pad to the section boundary *before* begin_hash so the hash covers
   // exactly [entry.offset, entry.offset + entry.size) — the same bytes
   // the load-path verifier sweeps.
-  const auto begin_section = [&](ChecksumSectionEntry& entry) {
+  const auto begin_section = [&](SectionEntry& entry) {
     writer.pad_to(kSectionAlignment);
     entry.offset = writer.offset();
-    if (section_checksums) writer.begin_hash();
+    writer.begin_hash();
   };
-  const auto end_section = [&](ChecksumSectionEntry& entry) {
+  const auto end_section = [&](SectionEntry& entry) {
     entry.size = writer.offset() - entry.offset;
-    if (section_checksums) entry.checksum = writer.end_hash();
+    entry.checksum = writer.end_hash();
   };
 
   begin_section(sections[0]);
@@ -254,112 +232,57 @@ void save_model_v2(std::ostream& out, const UntrustedHmd& hmd,
   engine.save_blob_v2(writer);
   end_section(sections[2]);
 
+  // Assemble the finished 96-byte header in memory so the header hash
+  // can cover the *patched* table, then write table + hash in one go.
+  // Bytes [0, kSectionTableOffset) are identical to what streamed out
+  // above.
+  unsigned char header[kHeaderBytes];
+  std::memcpy(header, kMagic, sizeof(kMagic));
+  std::memcpy(header + 4, &kModelFormatVersion, 4);
+  std::memcpy(header + 8, &kSectionCount, 4);
+  std::memcpy(header + 12, &kArtifactFlagSectionChecksums, 4);
+  std::memcpy(header + kSectionTableOffset, sections, sizeof(sections));
+  const std::uint64_t header_hash = io::xxhash64(header, kHeaderHashOffset);
+  std::memcpy(header + kHeaderHashOffset, &header_hash, sizeof(header_hash));
   out.seekp(static_cast<std::streamoff>(kSectionTableOffset));
-  if (section_checksums) {
-    // Assemble the finished 96-byte header in memory so the header hash
-    // can cover the *patched* table, then write table + hash in one go.
-    // Bytes [0, kSectionTableOffset) are identical to what streamed out
-    // above, so the file ends up byte-for-byte what the two-pass patcher
-    // used to produce.
-    unsigned char header[kChecksumHeaderBytes];
-    std::memcpy(header, kMagic, sizeof(kMagic));
-    std::memcpy(header + 4, &kModelFormatVersion, 4);
-    std::memcpy(header + 8, &kSectionCount, 4);
-    constexpr std::uint32_t kFlags = kArtifactFlagSectionChecksums;
-    std::memcpy(header + 12, &kFlags, 4);
-    std::memcpy(header + kSectionTableOffset, sections, sizeof(sections));
-    const std::uint64_t header_hash = io::xxhash64(header, kHeaderHashOffset);
-    std::memcpy(header + kHeaderHashOffset, &header_hash,
-                sizeof(header_hash));
-    out.write(reinterpret_cast<const char*>(header + kSectionTableOffset),
-              static_cast<std::streamsize>(kChecksumHeaderBytes -
-                                           kSectionTableOffset));
-  } else {
-    for (const ChecksumSectionEntry& entry : sections) {
-      out.write(reinterpret_cast<const char*>(&entry.offset), 8);
-      out.write(reinterpret_cast<const char*>(&entry.size), 8);
-    }
-  }
+  out.write(reinterpret_cast<const char*>(header + kSectionTableOffset),
+            static_cast<std::streamsize>(kHeaderBytes - kSectionTableOffset));
 }
 
-/// Parse a v2 artifact in place over `buffer` (mapped or heap-read; the
-/// engines keep views into it either way). Checksummed artifacts are
-/// verified here — header hash, then every section hash — *before* any
-/// payload parsing, and then parsed with the deep structural walk
-/// skipped (the verify-once-then-trust contract in model_artifact.h).
-TrustedHmd load_model_v2(std::shared_ptr<const io::ArtifactBuffer> buffer,
-                         const std::string& path, int n_threads) {
+/// Parse an artifact in place over `buffer` (mapped or heap-read; the
+/// engines keep views into it either way). The header hash, then every
+/// section hash, is verified *before* any payload parsing, and the
+/// payload is then trusted (the verify-once-then-trust contract in
+/// model_artifact.h).
+TrustedHmd load_from_buffer(std::shared_ptr<const io::ArtifactBuffer> buffer,
+                            const std::string& path, int n_threads) {
   io::ByteReader in(buffer->data(), buffer->size(), path);
-  // Re-check magic and version from the buffer itself: the caller's
-  // stream peek and this mapping are two opens, and a file swapped in
-  // between must be rejected, not misparsed.
-  char magic[4];
-  std::memcpy(magic, in.view_span<char>(4), 4);
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw LoadError(LoadErrorCode::kBadMagic, path,
-                    "bad magic (file replaced mid-load?)");
+  // Re-check the prefix from the buffer itself: the caller's stream peek
+  // and this mapping are two opens, and a file swapped in between must
+  // be rejected, not misparsed.
+  const Header header = read_header(in, path);
+  // Header hash first: it vouches for the table the section hashes are
+  // about to be read through, so a flipped bit in a stored offset/size/
+  // checksum is caught here rather than surfacing as a bounds error.
+  const std::uint64_t actual = io::xxhash64(buffer->data(), kHeaderHashOffset);
+  if (actual != header.hash) {
+    throw LoadError(LoadErrorCode::kChecksum, path,
+                    "header checksum mismatch (expected " +
+                        hex_u64(header.hash) + ", got " + hex_u64(actual) +
+                        ")");
   }
-  if (in.read_pod<std::uint32_t>() != kModelFormatVersion) {
-    throw LoadError(LoadErrorCode::kBadVersion, path,
-                    "version mismatch (file replaced mid-load?)");
-  }
-  const auto section_count = in.read_pod<std::uint32_t>();
-  const auto flags = in.read_pod<std::uint32_t>();
-  if (section_count != kSectionCount) {
-    throw LoadError(LoadErrorCode::kBadStructure, path,
-                    "bad section count " + std::to_string(section_count));
-  }
-  if ((flags & ~kArtifactFlagSectionChecksums) != 0) {
-    throw LoadError(LoadErrorCode::kBadVersion, path,
-                    "unknown header flags " + hex_u64(flags) +
-                        " (written by a newer version?)");
-  }
-  const bool checksummed = (flags & kArtifactFlagSectionChecksums) != 0;
-
-  ChecksumSectionEntry sections[kSectionCount];
-  for (ChecksumSectionEntry& entry : sections) {
-    entry.offset = in.read_pod<std::uint64_t>();
-    entry.size = in.read_pod<std::uint64_t>();
-    entry.checksum = checksummed ? in.read_pod<std::uint64_t>() : 0;
-  }
-  if (checksummed) {
-    // Header hash first: it vouches for the table the section hashes are
-    // about to be read through, so a flipped bit in a stored offset/size/
-    // checksum is caught here rather than surfacing as a bounds error.
-    const auto stored = in.read_pod<std::uint64_t>();
-    const std::uint64_t actual =
-        io::xxhash64(buffer->data(), kHeaderHashOffset);
-    if (actual != stored) {
-      throw LoadError(LoadErrorCode::kChecksum, path,
-                      "header checksum mismatch (expected " +
-                          hex_u64(stored) + ", got " + hex_u64(actual) + ")");
-    }
-  }
+  check_section_bounds(header, buffer->size(), path);
+  const SectionEntry* sections = header.sections;
   for (std::uint32_t i = 0; i < kSectionCount; ++i) {
-    const ChecksumSectionEntry& entry = sections[i];
-    if (entry.offset + entry.size < entry.offset ||  // u64 overflow
-        entry.offset + entry.size > buffer->size()) {
-      throw LoadError(LoadErrorCode::kTruncated, path,
+    const SectionEntry& entry = sections[i];
+    const std::uint64_t section_hash = io::xxhash64(
+        buffer->data() + entry.offset, static_cast<std::size_t>(entry.size));
+    if (section_hash != entry.checksum) {
+      throw LoadError(LoadErrorCode::kChecksum, path,
                       "section '" + std::string(kSectionNames[i]) +
-                          "' ends at byte " +
-                          std::to_string(entry.offset + entry.size) +
-                          ", past end of file (" +
-                          std::to_string(buffer->size()) + " bytes)");
-    }
-  }
-  if (checksummed) {
-    for (std::uint32_t i = 0; i < kSectionCount; ++i) {
-      const ChecksumSectionEntry& entry = sections[i];
-      const std::uint64_t actual =
-          io::xxhash64(buffer->data() + entry.offset,
-                       static_cast<std::size_t>(entry.size));
-      if (actual != entry.checksum) {
-        throw LoadError(LoadErrorCode::kChecksum, path,
-                        "section '" + std::string(kSectionNames[i]) +
-                            "' checksum mismatch (expected " +
-                            hex_u64(entry.checksum) + ", got " +
-                            hex_u64(actual) + ")");
-      }
+                          "' checksum mismatch (expected " +
+                          hex_u64(entry.checksum) + ", got " +
+                          hex_u64(section_hash) + ")");
     }
   }
 
@@ -391,8 +314,7 @@ TrustedHmd load_model_v2(std::shared_ptr<const io::ArtifactBuffer> buffer,
   std::unique_ptr<InferenceEngine> engine;
   switch (static_cast<EngineId>(engine_id)) {
     case EngineId::kFlatForest:
-      engine = FlatForestEngine::from_buffer(in, buffer,
-                                             /*deep_validate=*/!checksummed);
+      engine = FlatForestEngine::from_buffer(in, buffer);
       break;
     case EngineId::kFlatLinear:
       engine = FlatLinearEngine::from_buffer(in, buffer);
@@ -406,65 +328,16 @@ TrustedHmd load_model_v2(std::shared_ptr<const io::ArtifactBuffer> buffer,
                     converged_fraction);
 }
 
-TrustedHmd load_model_v1(std::istream& in, const std::string& path,
-                         int n_threads) {
-  StreamSource source{in, path};
-  double converged_fraction = 1.0;
-  HmdConfig config = read_config(source, path, n_threads, converged_fraction);
-
-  ml::StandardScaler scaler;
-  std::uint8_t has_scaler = 0;
-  io::read_pod(in, has_scaler, path);
-  if (has_scaler) {
-    std::uint64_t d = 0;
-    io::read_pod(in, d, path);
-    if (d == 0 || d > (1u << 24))
-      throw LoadError(LoadErrorCode::kBadStructure, path,
-                      "implausible scaler width " + std::to_string(d));
-    std::vector<double> means(d), scales(d);
-    io::read_span(in, means.data(), means.size(), path);
-    io::read_span(in, scales.data(), scales.size(), path);
-    scaler = ml::StandardScaler::from_moments(std::move(means),
-                                              std::move(scales));
-  }
-
-  std::uint32_t engine_id = 0;
-  io::read_pod(in, engine_id, path);
-  std::unique_ptr<InferenceEngine> engine;
-  switch (static_cast<EngineId>(engine_id)) {
-    case EngineId::kFlatForest:
-      engine = FlatForestEngine::load_blob(in, path);
-      break;
-    case EngineId::kFlatLinear:
-      engine = FlatLinearEngine::load_blob(in, path);
-      break;
-    default:
-      throw LoadError(LoadErrorCode::kBadStructure, path,
-                      "unknown engine id " + std::to_string(engine_id));
-  }
-
-  return TrustedHmd(std::move(config), std::move(engine), std::move(scaler),
-                    converged_fraction);
-}
-
 }  // namespace
 
-std::string model_path(const std::string& stem) { return stem + ".hmdf"; }
-
-bool model_exists(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::uint32_t version = 0;
-  return header_matches(in, version);
+void InferenceEngine::save_blob(std::ostream& out) const {
+  io::AlignedWriter writer(out);
+  save_blob_v2(writer);
 }
 
-void save_model(const UntrustedHmd& hmd, const std::string& path,
-                std::uint32_t format_version, bool section_checksums) {
+void save_model(const UntrustedHmd& hmd, const std::string& path) {
   HMD_REQUIRE(hmd.uses_flat_engine(),
               "save_model: detector has no compiled engine");
-  HMD_REQUIRE(format_version == kModelFormatV1 ||
-                  format_version == kModelFormatVersion,
-              "save_model: unsupported format version");
 
   const std::filesystem::path fs_path(path);
   if (fs_path.has_parent_path()) {
@@ -478,11 +351,7 @@ void save_model(const UntrustedHmd& hmd, const std::string& path,
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out) throw IoError("save_model: cannot open " + tmp_path);
-    if (format_version == kModelFormatV1) {
-      save_model_v1(out, hmd);
-    } else {
-      save_model_v2(out, hmd, section_checksums);
-    }
+    write_artifact(out, hmd);
     // Flush explicitly before the stream check: the destructor's implicit
     // flush swallows errors, and a short tail lost to ENOSPC here would
     // otherwise be fsynced and renamed over the good artifact below.
@@ -504,7 +373,6 @@ TrustedHmd load_model(const std::string& path, int n_threads, LoadMode mode) {
   // Armed with error:io (etc.) this simulates the whole artifact tier
   // failing — the seam the registry's retry/quarantine tests drive.
   HMD_FAILPOINT("artifact.load", path.c_str());
-  std::uint32_t version = 0;
   {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -512,11 +380,12 @@ TrustedHmd load_model(const std::string& path, int n_threads, LoadMode mode) {
                       std::string("cannot open artifact: ") +
                           std::strerror(errno));
     }
-    version = read_header_version(in, path);
-    if (version == kModelFormatV1) {
-      // v1 predates the aligned layout: always the stream copy path.
-      return load_model_v1(in, path, n_threads);
+    char prefix[8];
+    if (!in.read(prefix, sizeof(prefix))) {
+      throw LoadError(LoadErrorCode::kTruncated, path,
+                      "file shorter than the 8-byte artifact header");
     }
+    check_prefix(prefix, path);
   }
   auto buffer = std::make_shared<io::ArtifactBuffer>([&] {
     switch (mode) {
@@ -529,7 +398,7 @@ TrustedHmd load_model(const std::string& path, int n_threads, LoadMode mode) {
     }
     return io::ArtifactBuffer::map_or_read(path);
   }());
-  return load_model_v2(std::move(buffer), path, n_threads);
+  return load_from_buffer(std::move(buffer), path, n_threads);
 }
 
 ArtifactInfo inspect_model(const std::string& path) {
@@ -542,38 +411,17 @@ ArtifactInfo inspect_model(const std::string& path) {
   ArtifactInfo info;
   info.file_bytes = static_cast<std::uint64_t>(in.tellg());
   in.seekg(0);
-  info.version = read_header_version(in, path);
-  if (info.version == kModelFormatV1) return info;  // v1 has no table
-
-  std::uint32_t section_count = 0;
-  std::uint32_t flags = 0;
-  io::read_pod(in, section_count, path);
-  io::read_pod(in, flags, path);
-  if (section_count != kSectionCount) {
-    throw LoadError(LoadErrorCode::kBadStructure, path,
-                    "bad section count " + std::to_string(section_count));
-  }
-  if ((flags & ~kArtifactFlagSectionChecksums) != 0) {
-    throw LoadError(LoadErrorCode::kBadVersion, path,
-                    "unknown header flags " + hex_u64(flags) +
-                        " (written by a newer version?)");
-  }
-  info.section_checksums = (flags & kArtifactFlagSectionChecksums) != 0;
+  alignas(8) char bytes[kHeaderBytes];
+  in.read(bytes, sizeof(bytes));
+  io::ByteReader reader(reinterpret_cast<const std::byte*>(bytes),
+                        static_cast<std::size_t>(in.gcount()), path);
+  const Header header = read_header(reader, path);
+  check_section_bounds(header, info.file_bytes, path);
+  info.version = kModelFormatVersion;
   for (std::uint32_t i = 0; i < kSectionCount; ++i) {
-    ArtifactSectionInfo section;
-    section.name = kSectionNames[i];
-    io::read_pod(in, section.offset, path);
-    io::read_pod(in, section.size, path);
-    if (info.section_checksums) io::read_pod(in, section.checksum, path);
-    if (section.offset + section.size < section.offset ||
-        section.offset + section.size > info.file_bytes) {
-      throw LoadError(LoadErrorCode::kTruncated, path,
-                      "section '" + section.name + "' ends at byte " +
-                          std::to_string(section.offset + section.size) +
-                          ", past end of file (" +
-                          std::to_string(info.file_bytes) + " bytes)");
-    }
-    info.sections.push_back(section);
+    const SectionEntry& entry = header.sections[i];
+    info.sections.push_back(
+        {kSectionNames[i], entry.offset, entry.size, entry.checksum});
   }
   return info;
 }

@@ -2,9 +2,10 @@
 // Versioned on-disk model artifact — the train-once / serve-many split.
 //
 // A `.hmdf` file holds everything a serving process needs and nothing the
-// trainer used. Two format versions are live:
-//
-// ## Format v2 (current, written by default): the zero-copy layout
+// trainer used. There is one format: checksummed v2, the zero-copy layout.
+// Anything else (a v1 stream file, or a v2 file with the checksum flag
+// clear) is rejected with LoadError{kBadVersion}; re-save it with
+// hmd_train.
 //
 // All integers little-endian. Every section starts on a 64-byte file
 // offset, and inside the engine section every large array is padded to a
@@ -16,10 +17,8 @@
 //   [ 0.. 4)  magic "HMDF"
 //   [ 4.. 8)  u32 version = 2
 //   [ 8..12)  u32 section_count = 3
-//   [12..16)  u32 flags (bit 0 = kArtifactFlagSectionChecksums)
-//   then the section table, whose entry layout depends on bit 0:
-//
-//   flags bit 0 SET (the default since the fault-tolerance PR):
+//   [12..16)  u32 flags = kArtifactFlagSectionChecksums (bit 0 must be
+//             set; every other bit must be clear)
 //   [16..88)  section table: section_count × { u64 offset, u64 size,
 //             u64 xxh64 } — the checksum is XXH64 (common/checksum.h,
 //             seed 0) over the section's exact [offset, offset+size)
@@ -27,11 +26,6 @@
 //   [88..96)  u64 header_xxh64: XXH64 over bytes [0, 88) — magic,
 //             version, counts, flags, and the whole table — so a bit
 //             flip in a stored offset/size/checksum is itself caught.
-//
-//   flags bit 0 CLEAR (pre-checksum v2 files, still loadable and still
-//   writable via save_model's section_checksums=false for migration
-//   tests):
-//   [16..64)  section table: section_count × { u64 offset, u64 size }
 //
 //   Sections in order: config, scaler, engine. Offsets are 64-byte
 //   aligned and in-bounds; sizes are exact payload bytes (loaders reject
@@ -45,7 +39,7 @@
 //     u8 has_scaler | [u64 d | align64 | f64 means[d] | align64 |
 //     f64 scales[d]]
 //   engine section:
-//     u32 engine_id | engine v2 blob (see the engine's save_blob_v2):
+//     u32 engine_id | engine blob (see the engine's save_blob_v2):
 //       flat_forest: u64 n_features | u64 n_nodes | u64 n_roots
 //                    | align64 | Node nodes[n_nodes]
 //                    | align64 | f64 leaf_entropy[n_nodes]
@@ -61,29 +55,19 @@
 //
 // ## Integrity and trust (the verify-once-then-trust contract)
 //
-// A checksummed v2 load verifies the header hash, then every section's
-// hash, *before* parsing — one sequential, prefetcher-friendly sweep of
-// the bytes — and then trusts the content: the O(n_nodes) structural
-// validation walk of the forest arena is skipped (only the O(M) root
-// checks remain), so any single bit flip anywhere in any section —
-// including flips the old walk could never see, like a weight double or
-// a leaf probability — is rejected with LoadError{kChecksum}, and cold
-// start stops paying a pointer-chasing walk over every node page.
-// Checksum-less v2 files keep the full structural walk.
+// A load verifies the header hash, then every section's hash, *before*
+// parsing — one sequential, prefetcher-friendly sweep of the bytes — and
+// then trusts the content: there is no O(n_nodes) structural walk of the
+// forest arena (only the geometry caps and the O(M) root checks run), so
+// any single bit flip anywhere in any section — a weight double or a
+// leaf probability included — is rejected with LoadError{kChecksum}, and
+// cold start never pays a pointer-chasing walk over every node page.
 //
 // Threat model: the checksum is an *integrity* check (bit rot, torn or
 // interrupted writes, flaky storage), not an *authenticity* check — a
 // writer who controls the file can recompute XXH64, exactly as they
 // could simply write a well-formed artifact with hostile weights. Only
 // load artifacts from writers you already trust to choose your model.
-//
-// ## Format v1 (still loadable, writable on request): the stream layout
-//
-//   magic "HMDF" | u32 version=1 | config (as above, packed) |
-//   u8 has_scaler [u64 d | means | scales] | u32 engine_id | engine blob
-//
-// v1 files always load through the std::istream copy path; they predate
-// checksums and keep the full structural validation.
 //
 // save_model() writes atomically and durably: temp file + fsync(file) +
 // rename + fsync(directory), so a crash mid-field-update can never leave
@@ -108,43 +92,27 @@
 
 namespace hmd::core {
 
-/// Current artifact version (the default save format). Bump when the
-/// layout changes; load_model also accepts kModelFormatV1.
+/// The artifact version. Bump when the layout changes.
 inline constexpr std::uint32_t kModelFormatVersion = 2;
-inline constexpr std::uint32_t kModelFormatV1 = 1;
 
-/// Header flags word (bytes [12..16) of a v2 artifact).
+/// Header flags word (bytes [12..16)); bit 0 must be set.
 inline constexpr std::uint32_t kArtifactFlagSectionChecksums = 1u;
 
 /// How load_model materialises the artifact bytes.
 enum class LoadMode {
-  /// v2: mmap, falling back to a full buffer read if mapping fails.
-  /// v1: stream read. The serving default.
+  /// mmap, falling back to a full buffer read if mapping fails. The
+  /// serving default.
   kAuto,
-  /// v2: mmap or throw LoadError{kMmapFailed}. v1: stream read (v1
-  /// predates the zero-copy layout; there is nothing to map in place).
+  /// mmap or throw LoadError{kMmapFailed}.
   kMmap,
-  /// Never map: v2 parses from a full heap read, v1 streams.
+  /// Never map: parse from a full heap read into an aligned buffer.
   kStream,
 };
 
-/// Path of the model artifact for a stem ("<stem>.hmdf").
-std::string model_path(const std::string& stem);
-
-/// True iff an artifact exists at `path` *and* carries the magic and a
-/// loadable version (v1 or v2) — stale artifacts look absent so callers
-/// re-train.
-bool model_exists(const std::string& path);
-
 /// Persist a fitted detector (config + scaler + compiled engine) to
-/// `path`. The detector must be using a flat engine. `format_version`
-/// selects the on-disk layout (v2 by default; v1 kept for migration
-/// tests and old readers); `section_checksums` selects the checksummed
-/// v2 table (ignored for v1; false reproduces the pre-checksum v2 layout
-/// for migration tests). Writes are atomic and durable (see header).
-void save_model(const UntrustedHmd& hmd, const std::string& path,
-                std::uint32_t format_version = kModelFormatVersion,
-                bool section_checksums = true);
+/// `path`. The detector must be using a flat engine. Writes are atomic
+/// and durable (see header).
+void save_model(const UntrustedHmd& hmd, const std::string& path);
 
 /// Reconstruct a serving-only detector from an artifact. `n_threads`
 /// sizes the serving thread pool (<= 0 = all cores) — it intentionally
@@ -159,9 +127,7 @@ TrustedHmd load_model(const std::string& path, int n_threads = 0,
 /// tools/hmd_faultgen and the per-section corruption tests: sections are
 /// reported in table order (config, scaler, engine) with their exact
 /// byte ranges, so a test or corruption tool can target "one byte of the
-/// engine section" without hard-coding layout offsets. Empty for v1
-/// (which has no section table). `checksum` is meaningful only when
-/// `section_checksums` is true.
+/// engine section" without hard-coding layout offsets.
 struct ArtifactSectionInfo {
   std::string name;
   std::uint64_t offset = 0;
@@ -171,14 +137,16 @@ struct ArtifactSectionInfo {
 
 struct ArtifactInfo {
   std::uint32_t version = 0;
-  bool section_checksums = false;
+  /// Always true: every loadable artifact is checksummed. Kept because
+  /// perfbench/ still reads it.
+  bool section_checksums = true;
   std::uint64_t file_bytes = 0;
   std::vector<ArtifactSectionInfo> sections;
 };
 
 /// Read an artifact's header + section table. Throws LoadError on a
-/// missing file, bad magic, unsupported version, or a v2 table that is
-/// truncated/out-of-range — but does NOT verify section checksums or
+/// missing file, bad magic, unsupported version or flags, or a table
+/// that is truncated/out-of-range — but does NOT verify section checksums or
 /// parse payloads (that is load_model's job).
 ArtifactInfo inspect_model(const std::string& path);
 

@@ -173,7 +173,6 @@ TEST_F(FaultInjectionTest, InspectReportsVerifiableSectionTable) {
   core::save_model(train(ModelKind::kRandomForest), path_);
   const core::ArtifactInfo info = core::inspect_model(path_);
   EXPECT_EQ(info.version, core::kModelFormatVersion);
-  EXPECT_TRUE(info.section_checksums);
   EXPECT_EQ(info.file_bytes, std::filesystem::file_size(path_));
   ASSERT_EQ(info.sections.size(), 3u);
   EXPECT_EQ(info.sections[0].name, "config");
@@ -193,22 +192,40 @@ TEST_F(FaultInjectionTest, InspectReportsVerifiableSectionTable) {
   }
 }
 
-TEST_F(FaultInjectionTest, InspectHandlesV1AndChecksumlessFiles) {
-  core::save_model(train(ModelKind::kBaggedLogistic), path_,
-                   core::kModelFormatV1);
-  const core::ArtifactInfo v1 = core::inspect_model(path_);
-  EXPECT_EQ(v1.version, core::kModelFormatV1);
-  EXPECT_FALSE(v1.section_checksums);
-  EXPECT_TRUE(v1.sections.empty());
-
-  core::save_model(train(ModelKind::kBaggedLogistic), path_,
-                   core::kModelFormatVersion, /*section_checksums=*/false);
-  const core::ArtifactInfo legacy = core::inspect_model(path_);
-  EXPECT_FALSE(legacy.section_checksums);
-  ASSERT_EQ(legacy.sections.size(), 3u);
-  for (const auto& section : legacy.sections) {
-    EXPECT_EQ(section.checksum, 0u);
+// Checksummed v2 is the only format: a v1 stream file and a v2 file
+// with the checksum flag clear are both another version, rejected by the
+// loader and by inspect_model alike with the persistent kBadVersion.
+TEST_F(FaultInjectionTest, V1AndChecksumlessFilesAreRejectedAsBadVersion) {
+  const auto inspect_code = [](const std::string& path) {
+    try {
+      core::inspect_model(path);
+    } catch (const LoadError& error) {
+      return error.code();
+    }
+    ADD_FAILURE() << "inspect_model accepted " << path;
+    return LoadErrorCode::kIo;
+  };
+  {
+    // A v1 header: magic, u32 version 1, then the start of a config.
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    const std::uint32_t version = 1;
+    out.write("HMDF", 4);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(std::string(120, '\0').data(), 120);
   }
+  EXPECT_EQ(rejection_code(path_), LoadErrorCode::kBadVersion);
+  EXPECT_EQ(inspect_code(path_), LoadErrorCode::kBadVersion);
+
+  core::save_model(train(ModelKind::kBaggedLogistic), path_);
+  {
+    // Clear the flags word at bytes [12, 16).
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint32_t flags = 0;
+    f.seekp(12);
+    f.write(reinterpret_cast<const char*>(&flags), sizeof(flags));
+  }
+  EXPECT_EQ(rejection_code(path_), LoadErrorCode::kBadVersion);
+  EXPECT_EQ(inspect_code(path_), LoadErrorCode::kBadVersion);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +239,6 @@ TEST_F(FaultInjectionTest, AnySingleBitFlipInAnySectionIsRejected) {
     SCOPED_TRACE(core::model_kind_name(kind));
     core::save_model(train(kind), path_);
     const core::ArtifactInfo info = core::inspect_model(path_);
-    ASSERT_TRUE(info.section_checksums);
 
     for (const auto& section : info.sections) {
       // First, middle, and last byte of the section; a different bit
@@ -264,9 +280,10 @@ TEST_F(FaultInjectionTest, HeaderAndTableBitFlipsAreRejectedTyped) {
   EXPECT_NO_THROW(core::load_model(path_));
 }
 
-// The checksummed counterparts of ModelArtifactTest's structural
-// rejections: the same corruptions that the legacy deep walk catches as
-// kBadStructure are caught earlier — and cheaper — as kChecksum.
+// The unsealed counterparts of ModelArtifactTest's structural
+// rejections: without a re-sealed hash, the same corruptions that the
+// structural checks catch as kBadStructure are caught first, as
+// kChecksum.
 
 TEST_F(FaultInjectionTest, ChecksummedArtifactCatchesStructuralCorruption) {
   core::save_model(train(ModelKind::kRandomForest), path_);

@@ -23,12 +23,10 @@
 #include <filesystem>
 #include <limits>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/score.h"
-#include "common/binary_io.h"
 #include "core/flat_forest.h"
 #include "core/hmd.h"
 #include "core/model_artifact.h"
@@ -356,12 +354,8 @@ TEST(FlatForestParity, InterleavedWalkMatchesStatsOneAtEveryTileLength) {
     if (m == 0) roots.push_back(base);
     if (m == 1) roots.push_back(base + 3);
   }
-  std::stringstream blob;
-  io::write_pod(blob, static_cast<std::uint64_t>(kRandomCols));
-  io::write_vec(blob, nodes);
-  io::write_vec(blob, entropy);
-  io::write_vec(blob, roots);
-  const auto forest = core::FlatForestEngine::load_blob(blob, "mixed forest");
+  const auto forest =
+      test::forest_from_arrays(kRandomCols, nodes, entropy, roots);
   EXPECT_EQ(forest->n_stumps(), trained.n_stumps() + 2);
   EXPECT_LT(forest->n_stumps(), forest->n_trees());
   EXPECT_EQ(forest->kernel_backend(), "stream-fallback");

@@ -21,7 +21,6 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -29,7 +28,6 @@
 
 #include "api/detector_registry.h"
 #include "api/score.h"
-#include "common/binary_io.h"
 #include "common/failpoint.h"
 #include "core/flat_forest.h"
 #include "core/hmd.h"
@@ -304,12 +302,9 @@ TEST(JitPolicy, GeneratorCapDeclinesUnderEveryPolicy) {
   const PolicyGuard guard;
   jit::set_policy(jit::Policy::kOn);
   const std::size_t slots = (std::size_t{1} << 18) + 1;
-  std::stringstream blob;
-  io::write_pod(blob, std::uint64_t{1});  // feature width
-  io::write_vec(blob, std::vector<core::FlatForestEngine::Node>(slots));
-  io::write_vec(blob, std::vector<double>(slots, 0.0));
-  io::write_vec(blob, std::vector<std::int32_t>{0});
-  const auto forest = core::FlatForestEngine::load_blob(blob, "capped");
+  const auto forest = test::forest_from_arrays(
+      /*n_features=*/1, std::vector<core::FlatForestEngine::Node>(slots),
+      std::vector<double>(slots, 0.0), std::vector<std::int32_t>{0});
   ASSERT_EQ(forest->n_nodes(), slots);
   for (const auto p :
        {jit::Policy::kOn, jit::Policy::kAuto, jit::Policy::kOff}) {

@@ -1,18 +1,21 @@
 // Model artifact (.hmdf): a saved detector must reload as a serving-only
 // detector — no ml::Bagging on the path — emitting bit-identical
 // Detections and Estimates; corrupt, truncated, or version-mismatched
-// artifacts must be rejected loudly, never misread. The v2 zero-copy
+// artifacts must be rejected loudly, never misread. The zero-copy
 // layout adds: mmap-loaded and buffer-read engines are bit-identical to
-// each other and to the trained detector, misaligned or out-of-range
-// section offsets are rejected, and v1 files still load via the stream
-// path.
+// each other and to the trained detector, and misaligned or out-of-range
+// section offsets are rejected with a typed LoadError.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
+#include "common/checksum.h"
 #include "common/error.h"
 #include "core/hmd.h"
 #include "core/model_artifact.h"
@@ -21,6 +24,21 @@
 namespace {
 
 using namespace hmd;
+
+/// Load `path` and return the LoadError code it was rejected with;
+/// fails the test if the load succeeds or throws something untyped.
+LoadErrorCode rejection_code(const std::string& path) {
+  try {
+    core::load_model(path);
+  } catch (const LoadError& error) {
+    return error.code();
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "untyped rejection: " << error.what();
+    return LoadErrorCode::kIo;
+  }
+  ADD_FAILURE() << "corrupt artifact loaded cleanly: " << path;
+  return LoadErrorCode::kIo;
+}
 
 class ModelArtifactTest : public ::testing::Test {
  protected:
@@ -63,20 +81,42 @@ class ModelArtifactTest : public ::testing::Test {
     f.write(reinterpret_cast<const char*>(&value), sizeof(value));
   }
 
-  /// File offset of v2 section `index` (0 config, 1 scaler, 2 engine),
-  /// read from the section table at byte 16 — the tests never hard-code
-  /// section positions, only the documented table location. The entry
-  /// stride (16 bytes checksum-less, 24 checksummed) comes from the
-  /// header flags word, never from an assumption about how the file was
-  /// saved.
-  std::uint64_t section_offset(int index) {
-    std::ifstream f(path_, std::ios::binary);
-    f.seekg(12);
-    std::uint32_t flags = 0;
-    f.read(reinterpret_cast<char*>(&flags), sizeof(flags));
-    const std::uintmax_t stride =
-        (flags & core::kArtifactFlagSectionChecksums) != 0 ? 24 : 16;
-    return read_u64(16 + static_cast<std::uintmax_t>(index) * stride);
+  /// Byte offset of section `index`'s table entry (0 config, 1 scaler,
+  /// 2 engine): { u64 offset, u64 size, u64 xxh64 } from byte 16 — the
+  /// tests never hard-code section positions, only the documented table.
+  static std::uintmax_t entry_at(int index) {
+    return 16 + static_cast<std::uintmax_t>(index) * 24;
+  }
+  std::uint64_t section_offset(int index) { return read_u64(entry_at(index)); }
+
+  /// Re-seal the artifact after an edit: recompute each section's XXH64
+  /// over the range its (possibly edited) table entry names, then the
+  /// header hash over bytes [0, 88). This is what a writer who controls
+  /// the file can always do, so it is exactly the case the checksums
+  /// cannot stop and the structural checks must. An entry whose range
+  /// lies outside the file keeps its stale hash.
+  void reseal() {
+    std::vector<char> bytes;
+    {
+      std::ifstream in(path_, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    const auto u64_at = [&](std::uintmax_t at) {
+      std::uint64_t value = 0;
+      std::memcpy(&value, bytes.data() + at, sizeof(value));
+      return value;
+    };
+    for (int i = 0; i < 3; ++i) {
+      const std::uint64_t offset = u64_at(entry_at(i));
+      const std::uint64_t size = u64_at(entry_at(i) + 8);
+      if (offset > bytes.size() || size > bytes.size() - offset) continue;
+      const std::uint64_t hash = io::xxhash64(bytes.data() + offset, size);
+      std::memcpy(bytes.data() + entry_at(i) + 16, &hash, sizeof(hash));
+    }
+    const std::uint64_t header_hash = io::xxhash64(bytes.data(), 88);
+    std::memcpy(bytes.data() + 88, &header_hash, sizeof(header_hash));
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
   core::TrustedHmd train(core::ModelKind kind, int members = 25) {
@@ -131,7 +171,7 @@ TEST_F(ModelArtifactTest, RoundTripIsBitIdenticalForEveryModelKind) {
     SCOPED_TRACE(core::model_kind_name(kind));
     const core::TrustedHmd trained = train(kind);
     core::save_model(trained, path_);
-    ASSERT_TRUE(core::model_exists(path_));
+    ASSERT_EQ(core::inspect_model(path_).version, core::kModelFormatVersion);
 
     const core::TrustedHmd served = core::load_model(path_);
     // The load path reconstructs the engine directly from the blob: no
@@ -167,77 +207,78 @@ TEST_F(ModelArtifactTest, ServingDetectorCannotBeRefit) {
 }
 
 TEST_F(ModelArtifactTest, MissingArtifactLooksAbsentAndThrows) {
-  EXPECT_FALSE(core::model_exists(path_));
-  EXPECT_THROW(core::load_model(path_), IoError);
+  EXPECT_EQ(rejection_code(path_), LoadErrorCode::kIo);
+  EXPECT_THROW(core::inspect_model(path_), IoError);
 }
 
 TEST_F(ModelArtifactTest, BadMagicIsRejectedNotMisread) {
   core::save_model(train(core::ModelKind::kRandomForest), path_);
   corrupt_byte(0, 'X');
-  EXPECT_FALSE(core::model_exists(path_));
-  EXPECT_THROW(core::load_model(path_), IoError);
+  EXPECT_EQ(rejection_code(path_), LoadErrorCode::kBadMagic);
 }
 
 TEST_F(ModelArtifactTest, VersionMismatchIsRejectedNotMisread) {
   core::save_model(train(core::ModelKind::kRandomForest), path_);
   // The u32 version sits right after the 4-byte magic; a future (or
-  // corrupt) version must make the artifact look absent so callers
-  // re-train rather than misread the layout.
+  // corrupt) version must be rejected as such, never misread as the
+  // current layout.
   corrupt_byte(4, static_cast<char>(core::kModelFormatVersion + 1));
-  EXPECT_FALSE(core::model_exists(path_));
-  EXPECT_THROW(core::load_model(path_), IoError);
+  EXPECT_EQ(rejection_code(path_), LoadErrorCode::kBadVersion);
 }
 
-// The three structural-rejection tests below save with
-// section_checksums=false: on a checksummed artifact the same
-// corruptions are caught earlier, as LoadError{kChecksum} (pinned down
-// in test_fault_injection.cpp) — these pin the *legacy* v2 defence,
-// which is all a pre-checksum file has.
+// The three structural-rejection tests below corrupt a checksummed
+// artifact and then re-seal it, so the checksums pass and only the
+// loader's structural checks stand between the bytes and a misparse.
+// Unsealed, the same corruptions are caught earlier as
+// LoadError{kChecksum} (test_fault_injection.cpp).
 
 TEST_F(ModelArtifactTest, UnknownEngineTagIsRejected) {
-  core::save_model(train(core::ModelKind::kRandomForest), path_,
-                   core::kModelFormatVersion, /*section_checksums=*/false);
+  core::save_model(train(core::ModelKind::kRandomForest), path_);
   // The engine id is the u32 opening the engine section (table entry 2).
   corrupt_byte(section_offset(2), 0x7e);
-  EXPECT_THROW(core::load_model(path_), IoError);
+  reseal();
+  EXPECT_EQ(rejection_code(path_), LoadErrorCode::kBadStructure);
 }
 
 TEST_F(ModelArtifactTest, CorruptForestFeatureWidthIsRejected) {
-  core::save_model(train(core::ModelKind::kRandomForest), path_,
-                   core::kModelFormatVersion, /*section_checksums=*/false);
+  core::save_model(train(core::ModelKind::kRandomForest), path_);
   // The forest blob's u64 feature width follows the engine-id u32.
   // Zeroing its low byte makes the width implausible; the loader must
   // throw rather than hand the traversal an arena it could misindex.
   corrupt_byte(section_offset(2) + 4, 0);
-  EXPECT_THROW(core::load_model(path_), IoError);
+  reseal();
+  EXPECT_EQ(rejection_code(path_), LoadErrorCode::kBadStructure);
 }
 
 TEST_F(ModelArtifactTest, MisalignedSectionOffsetIsRejected) {
-  core::save_model(train(core::ModelKind::kRandomForest), path_,
-                   core::kModelFormatVersion, /*section_checksums=*/false);
+  core::save_model(train(core::ModelKind::kRandomForest), path_);
   // Nudge the *config* section's table entry off its 64-byte boundary.
   // The config section is followed by alignment padding, so offset+4 and
   // its size stay comfortably in bounds — only the alignment check can
   // reject it, which is exactly what this test pins down.
   const std::uint64_t config_offset = section_offset(0);
-  write_u64(16 + 0 * 16, config_offset + 4);
-  EXPECT_THROW(core::load_model(path_), IoError);
-  write_u64(16 + 0 * 16, config_offset);  // restore
+  write_u64(entry_at(0), config_offset + 4);
+  reseal();
+  EXPECT_EQ(rejection_code(path_), LoadErrorCode::kBadStructure);
+  write_u64(entry_at(0), config_offset);  // restore
+  reseal();
+  EXPECT_NO_THROW(core::load_model(path_));
 
   // An out-of-bounds offset (aligned or not) is equally rejected.
-  write_u64(16 + 2 * 16, std::uint64_t{1} << 40);
-  EXPECT_THROW(core::load_model(path_), IoError);
+  write_u64(entry_at(2), std::uint64_t{1} << 40);
+  reseal();
+  EXPECT_EQ(rejection_code(path_), LoadErrorCode::kTruncated);
 }
 
 TEST_F(ModelArtifactTest, TruncatedSectionTableIsRejected) {
   core::save_model(train(core::ModelKind::kRandomForest), path_);
-  // Chop the file inside the section table (16 + 3×16 = 64 bytes): the
-  // header still advertises a v2 artifact, but parsing the table must
+  // Chop the file inside the header (16 + 3×24 + 8 = 96 bytes): the
+  // prefix still advertises a v2 artifact, but parsing the table must
   // throw, never read past the mapping.
-  for (const std::uintmax_t keep : {60, 40, 17}) {
+  for (const std::uintmax_t keep : {90, 60, 40, 17}) {
     std::filesystem::resize_file(path_, keep);
-    EXPECT_TRUE(core::model_exists(path_));
-    EXPECT_THROW(core::load_model(path_), IoError) << "kept " << keep;
+    EXPECT_EQ(rejection_code(path_), LoadErrorCode::kTruncated)
+        << "kept " << keep;
   }
 }
 
@@ -293,26 +334,6 @@ TEST_F(ModelArtifactTest, MmapRoundTripsOnHpcBundleToo) {
   }
 }
 
-TEST_F(ModelArtifactTest, V1FallbackRoundTripIsBitIdentical) {
-  // A v1 artifact (the pre-zero-copy stream layout) must still load —
-  // through the stream path, owned storage, same outputs — whatever
-  // LoadMode the caller asks for.
-  for (const auto kind :
-       {core::ModelKind::kRandomForest, core::ModelKind::kBaggedLogistic}) {
-    SCOPED_TRACE(core::model_kind_name(kind));
-    const core::TrustedHmd trained = train(kind);
-    core::save_model(trained, path_, core::kModelFormatV1);
-    ASSERT_TRUE(core::model_exists(path_));
-    for (const auto mode : {core::LoadMode::kAuto, core::LoadMode::kMmap,
-                            core::LoadMode::kStream}) {
-      const core::TrustedHmd served = core::load_model(path_, 0, mode);
-      EXPECT_FALSE(served.engine().zero_copy());
-      expect_bit_identical_outputs(trained, served,
-                                   test::small_dvfs().test.X);
-    }
-  }
-}
-
 TEST_F(ModelArtifactTest, MappedDetectorSurvivesRenamePublishedSwap) {
   // The hot-swap guarantee at the mapping level: a detector serving from
   // a mapped artifact keeps emitting the *old* model's outputs, bit for
@@ -356,15 +377,11 @@ TEST_F(ModelArtifactTest, TruncatedArtifactThrowsEverywhere) {
     for (const auto keep :
          {full - 4, full / 2, full / 4, std::uintmax_t{16}}) {
       std::filesystem::resize_file(path_, keep);
-      EXPECT_TRUE(core::model_exists(path_));  // header still advertises
-      EXPECT_THROW(core::load_model(path_), IoError) << "kept " << keep;
+      EXPECT_EQ(rejection_code(path_), LoadErrorCode::kTruncated)
+          << "kept " << keep;
       core::save_model(train(kind, 10), path_);  // restore for next cut
     }
   }
-}
-
-TEST_F(ModelArtifactTest, ModelPathAppendsSuffix) {
-  EXPECT_EQ(core::model_path("models/dvfs_rf"), "models/dvfs_rf.hmdf");
 }
 
 }  // namespace

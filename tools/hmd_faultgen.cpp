@@ -2,7 +2,8 @@
 // drills and tests.
 //
 // Reads a `.hmdf` artifact's section table (core::inspect_model — no
-// payload parsing, so it works on artifacts the loader would reject) and
+// checksum verification or payload parsing, so it works on artifacts
+// whose sections the loader would reject) and
 // produces a precisely-damaged variant: one flipped bit in a named
 // section, a truncated tail, a zeroed section, or a torn half-written
 // publish. Every mutation is written the same way a legitimate publish
@@ -12,7 +13,7 @@
 // be mmap-serving.
 //
 // commands:
-//   info     FILE                 print version, flags, and section table
+//   info     FILE                 print version, size, and section table
 //   bitflip  FILE [--section=config|scaler|engine] [--offset=N] [--bit=B]
 //                                 flip one bit inside a section (defaults:
 //                                 engine, offset 0, bit 0); with
@@ -94,9 +95,7 @@ const core::ArtifactSectionInfo& find_section(const core::ArtifactInfo& info,
     if (section.name == name) return section;
   }
   throw LoadError(LoadErrorCode::kBadStructure, path,
-                  "no section named '" + name +
-                      "' (v" + std::to_string(info.version) +
-                      " artifact; v1 files have no section table)");
+                  "no section named '" + name + "'");
 }
 
 struct Options {
@@ -126,10 +125,8 @@ Options parse_options(int argc, char** argv, int first) {
 
 int cmd_info(const std::string& path) {
   const core::ArtifactInfo info = core::inspect_model(path);
-  std::printf("%s: v%u, %llu bytes, section checksums %s\n", path.c_str(),
-              info.version,
-              static_cast<unsigned long long>(info.file_bytes),
-              info.section_checksums ? "on" : "off");
+  std::printf("%s: v%u, %llu bytes\n", path.c_str(), info.version,
+              static_cast<unsigned long long>(info.file_bytes));
   for (const auto& section : info.sections) {
     std::printf("  %-8s offset %8llu  size %10llu  xxh64 %016llx\n",
                 section.name.c_str(),

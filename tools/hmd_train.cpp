@@ -2,9 +2,10 @@
 //
 // Builds (or loads from cache) a dataset bundle, trains a detector, and
 // serialises it as a versioned `.hmdf` model artifact
-// (core/model_artifact.h). The artifact is then re-loaded and spot-checked
-// against the in-memory detector so a freshly written file is never
-// shipped unverified. Serving happens elsewhere (hmd_serve) with no
+// (core/model_artifact.h). The artifact is then re-loaded and every
+// score() column on the held-out split compared bitwise against the
+// in-memory detector, so a freshly written file is never shipped
+// unverified. Serving happens elsewhere (hmd_serve) with no
 // training code on the path.
 //
 // usage: hmd_train [--dataset=dvfs|hpc] [--model=rf|lr|svm] [--members=N]
@@ -23,13 +24,18 @@
 // just-written artifact that fails to reload). Fatal errors are reported
 // as one structured line on stderr.
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
+#include "api/score.h"
 #include "common/args.h"
 #include "common/error.h"
 #include "common/failpoint.h"
@@ -164,32 +170,48 @@ int run(TrainArgs args) {
               static_cast<std::uintmax_t>(bytes), save_ms);
 
   // Never ship an unverified artifact: reload and demand bit-identical
-  // outputs on the held-out split.
+  // outputs on the held-out split — every column of a full-mask score(),
+  // compared bytewise (all six uncertainty scores, confidence, trusted).
   start = clock_type::now();
-  const core::TrustedHmd served = core::load_model(args.out);
+  const core::TrustedHmd served = core::load_model(args.out, 1);
   const double load_ms = ms_since(start);
-  const auto want = hmd.estimate_batch(bundle.test.X);
-  const auto got = served.estimate_batch(bundle.test.X);
-  std::size_t mismatches = 0;
-  for (std::size_t r = 0; r < want.size(); ++r) {
-    if (want[r].prediction != got[r].prediction ||
-        want[r].votes_malware != got[r].votes_malware ||
-        want[r].score != got[r].score ||
-        want[r].soft_entropy != got[r].soft_entropy) {
-      ++mismatches;
+  api::ScoreRequest request;
+  request.x = &bundle.test.X;
+  request.outputs = api::kDetectionOutputs | api::kEstimateOutputs;
+  api::ScoreResult want, got;
+  hmd.score(request, want);
+  served.score(request, got);
+  std::vector<std::uint8_t> differs(want.rows, 0);
+  const auto compare = [&](const auto& a, const auto& b) {
+    for (std::size_t r = 0; r < want.rows; ++r) {
+      if (std::memcmp(&a[r], &b[r], sizeof(a[r])) != 0) differs[r] = 1;
     }
-  }
+  };
+  compare(want.prediction, got.prediction);
+  compare(want.confidence, got.confidence);
+  compare(want.votes, got.votes);
+  compare(want.vote_entropy, got.vote_entropy);
+  compare(want.soft_entropy, got.soft_entropy);
+  compare(want.expected_entropy, got.expected_entropy);
+  compare(want.mutual_information, got.mutual_information);
+  compare(want.variation_ratio, got.variation_ratio);
+  compare(want.max_probability, got.max_probability);
+  compare(want.score, got.score);
+  compare(want.trusted, got.trusted);
+  const auto mismatches = static_cast<std::size_t>(
+      std::count(differs.begin(), differs.end(), std::uint8_t{1}));
   if (mismatches != 0) {
     std::fprintf(stderr,
                  "hmd_train: artifact verification FAILED: %zu of %zu "
-                 "estimates differ from the in-memory detector\n",
-                 mismatches, want.size());
+                 "rows differ from the in-memory detector\n",
+                 mismatches, want.rows);
     return 1;
   }
   std::printf("verified %s: reloaded in %.2f ms (%.0fx faster than "
-              "retraining), %zu/%zu estimates bit-identical\n",
-              args.out.c_str(), load_ms, fit_ms / load_ms, want.size(),
-              want.size());
+              "retraining), %zu/%zu rows bit-identical in every score() "
+              "column\n",
+              args.out.c_str(), load_ms, fit_ms / load_ms, want.rows,
+              want.rows);
 
   if (args.fleet > 0) {
     start = clock_type::now();
